@@ -18,7 +18,6 @@ from .convergence import (
     average_weight,
     certainty_threshold,
     max_subset_weight,
-    max_subset_weight_exhaustive,
     profile,
 )
 from .kernel import (
@@ -61,7 +60,7 @@ from .model import (
     parse_knowledge_system,
     serialize_knowledge_system,
 )
-from .weight import WeightResult, is_certain, weight, weight_ratio_form
+from .weight import WeightResult, is_certain, weight
 
 __all__ = [
     "__version__",
@@ -86,7 +85,6 @@ __all__ = [
     "WeightResult",
     "is_certain",
     "weight",
-    "weight_ratio_form",
     # convergence
     "MAX_PROOF_FORMULAS",
     "WeightProfile",
@@ -94,7 +92,6 @@ __all__ = [
     "average_weight",
     "certainty_threshold",
     "max_subset_weight",
-    "max_subset_weight_exhaustive",
     "profile",
     # kernel
     "CheckedProof",

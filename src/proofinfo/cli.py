@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from .errors import (
     ProofTooLargeError,
     UnknownProofIdError,
 )
-from .kernel import check_proof, parse_kformula, parse_world
+from .kernel import check_knowledge_system, parse_world
 from .measure import proof_measure, shannon_entropy
 from .model import (
     KnowledgeSystem,
@@ -66,14 +67,23 @@ class _Fail(Exception):
         self.message = message
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's dict; a key given twice is an error, not last-one-wins."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        counts = Counter(key for key, _ in pairs)
+        raise ValueError(f"duplicate key {next(k for k, n in counts.items() if n > 1)!r}")
+    return obj
+
+
 def _read_json(path: str) -> tuple[object, str]:
     """Read a JSON file, returning (document, content digest). I/O errors -> exit 3."""
     try:
         raw = Path(path).read_bytes()
-        return json.loads(raw.decode("utf-8")), file_digest(raw)
+        return json.loads(raw.decode("utf-8"), object_pairs_hook=_unique_keys), file_digest(raw)
     except OSError as exc:
         raise _Fail(EXIT_IO, f"cannot read {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # malformed, duplicate keys, nested too deep
         raise _Fail(EXIT_IO, f"cannot parse {path}: {exc}") from exc
 
 
@@ -188,17 +198,7 @@ def _cmd_check(args: argparse.Namespace) -> tuple[dict, int]:
     # for check, a knowledge system that fails to parse is an input failure
     ks, ks_input = _load_system(args.ks_path, domain_exit=EXIT_IO)
     try:
-        goal_forms = {parse_kformula(g, world) for g in ks.goals}
-        checked = [
-            check_proof(
-                world,
-                [parse_kformula(t, world) for t in p.listing],
-                goal_forms,
-                proof_id=p.id,
-                strict=args.strict,
-            )
-            for p in ks.proofs
-        ]
+        checked = check_knowledge_system(world, ks, strict=args.strict)
     except ProofInfoError as exc:
         raise _Fail(EXIT_IO, f"cannot interpret proof formulas: {exc}") from exc
     results = {

@@ -3,9 +3,8 @@
 For a proof Q and size k, the interesting number is the worst case: the
 maximum weight over all k-formula subsets of Q (an adversary reveals the
 least informative part first). This module computes that maximum exactly by
-a pruned search, provides an exhaustive oracle for cross-checking, finds the
-certainty threshold (the smallest k at which every k-subset already pins the
-goal), and derives the two summary averages.
+a pruned search, finds the certainty threshold (the smallest k at which
+every k-subset already pins the goal), and derives the two summary averages.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 from .errors import (
     InternalInvariantViolation,
@@ -23,7 +21,7 @@ from .errors import (
 )
 from .measure import ProbabilityMeasure, support_ids
 from .model import KnowledgeSystem, Proof
-from .weight import weight
+from .weight import _structural_zero, weight
 
 # Subset search is exponential in the proof size; refuse absurd inputs
 # unless the caller explicitly opts in.
@@ -122,32 +120,6 @@ def max_subset_weight(
     return best_value, best_witness
 
 
-def max_subset_weight_exhaustive(
-    ks: KnowledgeSystem,
-    measure: ProbabilityMeasure,
-    proof: Proof | str,
-    size: int,
-) -> float:
-    """Same maximum as max_subset_weight, by plain enumeration (no pruning).
-
-    Independent oracle for the pruned search; intended for small proofs.
-    """
-    p = _resolve_proof(ks, proof)
-    items = sorted(p.formulas)
-    if not 0 <= size <= len(items):
-        raise SizeOutOfRangeError(f"size {size} outside 0..{len(items)} for proof {p.id!r}")
-    return max(
-        weight(ks, measure, combo).value
-        for combo in itertools.combinations(items, size)
-    )
-
-
-def _structurally_zero(ks: KnowledgeSystem, subset: Iterable[str]) -> bool:
-    # weight is exactly zero iff the support is empty or single-class
-    ids = support_ids(ks, subset)
-    return not ids or len({ks.by_id[pid].goal for pid in ids}) == 1
-
-
 def certainty_threshold(
     ks: KnowledgeSystem, proof: Proof | str, allow_large: bool = False
 ) -> int:
@@ -161,7 +133,7 @@ def certainty_threshold(
     _guard_size(p, allow_large)
     items = sorted(p.formulas)
     for k in range(1, len(items) + 1):
-        if all(_structurally_zero(ks, combo) for combo in itertools.combinations(items, k)):
+        if all(_structural_zero(ks, support_ids(ks, c)) for c in itertools.combinations(items, k)):
             return k
     raise InternalInvariantViolation(
         f"no subset size of proof {p.id!r} guarantees certainty; "

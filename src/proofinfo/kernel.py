@@ -14,6 +14,12 @@ Rules:
   ExistenceDisj       ¬Win(b) for every b outside X       => disjunction over X
   DisjElim            disjunction over X, ¬Win(b in X)    => disjunction over X∖{b}
 
+Each derivation rule is written once, in a table keyed by the kind of its
+leading premise, as a function from that premise to the conclusions it yields
+(a second premise is found by lookup). The forward chainer runs the table to a
+fixpoint; the checker justifies a step by the first application, in a fixed
+priority order, that concludes it, and also checks ExistenceDisj goal-directed.
+
 Published proof listings usually elide routine intermediate formulas. In the
 default (non-strict) mode the checker therefore lets an ExistenceDisj step
 justify each missing ¬Win(b) by one implicit hop (a deceitful broadcast, a
@@ -24,9 +30,10 @@ intermediate formula to be listed.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
-from typing import Callable, Collection, Iterable, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     InconsistentDayContextError,
@@ -205,9 +212,13 @@ def win_disj(participants: Iterable[str]) -> KFormula:
     return KFormula("win_disj", participants=ps)
 
 
+def _is_day_fact(formula: KFormula) -> bool:
+    return formula.kind in ("day_is", "day_not")
+
+
 def is_data(formula: KFormula) -> bool:
     """Whether the formula may appear as user data (day and broadcast facts only)."""
-    return formula.kind in ("day_is", "day_not", "brd")
+    return formula.kind == "brd" or _is_day_fact(formula)
 
 
 _BRD_RE = re.compile(r"Brd\(\s*([^,()\s]+)\s*,\s*([^,()\s]+)\s*\)")
@@ -307,10 +318,83 @@ def resolve_reliability(
     to days with a single verdict.
     """
     truthful_days = world.truthful_on(source)
-    day_facts = [f for f in day_context if f.kind in ("day_is", "day_not")]
-    possible = _possible_days(world, day_facts)
+    possible = _possible_days(world, filter(_is_day_fact, day_context))
     verdicts = {TRUTHFUL if d in truthful_days else DECEITFUL for d in possible}
     return verdicts.pop() if len(verdicts) == 1 else UNKNOWN
+
+
+# ---------------------------------------------------------------------------
+# facts and the rule table
+# ---------------------------------------------------------------------------
+
+class _Facts:
+    """The formulas listed or derived so far, with the lookups the rules use:
+    the first index of each derivable formula, the indices of the day facts,
+    and each source's verdict under those day facts (cached until the next
+    day fact)."""
+
+    def __init__(self, world: WorldSpec, formulas: Iterable[KFormula] = ()) -> None:
+        self.world = world
+        self.formulas: list[KFormula] = []
+        self.first: dict[KFormula, int] = {}
+        self.days: tuple[int, ...] = ()
+        self._verdicts: dict[str, str] = {}
+        for f in formulas:
+            self.append(f)
+
+    def append(self, formula: KFormula) -> None:
+        if _is_day_fact(formula):
+            self.days += (len(self.formulas),)
+            self._verdicts.clear()
+        elif formula.kind != "brd":  # user data is never looked up
+            self.first.setdefault(formula, len(self.formulas))
+        self.formulas.append(formula)
+
+    def verdict(self, source: str) -> str:
+        if source not in self._verdicts:
+            day_facts = [self.formulas[j] for j in self.days]
+            self._verdicts[source] = resolve_reliability(self.world, source, day_facts)
+        return self._verdicts[source]
+
+
+# (rule name, premise indices, conclusion)
+_Application = tuple[str, tuple[int, ...], KFormula]
+
+# the rules build the same few conclusions over and over; formulas are
+# immutable, so one cached instance each is shared (bounded per constructor)
+_win, _not_win, _win_disj = (functools.lru_cache(maxsize=4096)(f) for f in (win, not_win, win_disj))
+
+
+def _from_broadcast(facts: _Facts, j: int, e: KFormula) -> Iterator[_Application]:
+    verdict = facts.verdict(e.source)
+    # a day-dependent source's verdict rests on the day facts as well
+    premises = (j, *facts.days) if facts.world.is_day_dependent(e.source) else (j,)
+    if verdict == TRUTHFUL:
+        yield "TruthfulBroadcast", premises, _win(e.participant)
+    elif verdict == DECEITFUL:
+        yield "DeceitfulBroadcast", premises, _not_win(e.participant)
+
+
+def _from_win(facts: _Facts, j: int, e: KFormula) -> Iterator[_Application]:
+    for beta in sorted(set(facts.world.participants) - {e.participant}):
+        yield "Uniqueness", (j,), _not_win(beta)
+
+
+def _from_not_win(facts: _Facts, j: int, e: KFormula) -> Iterator[_Application]:
+    yield "ExistenceDisj", (j,), _win_disj(frozenset(facts.world.participants) - {e.participant})
+
+
+def _from_disj(facts: _Facts, j: int, e: KFormula) -> Iterator[_Application]:
+    for beta in sorted(e.participants):
+        k = facts.first.get(_not_win(beta))
+        if k is not None:
+            yield "DisjElim", (j, k), _win_disj(e.participants - {beta})
+
+
+# every derivation rule, keyed by the kind of its leading premise
+_RULES: dict[str, Callable[[_Facts, int, KFormula], Iterator[_Application]]] = {
+    "brd": _from_broadcast, "win": _from_win, "not_win": _from_not_win, "win_disj": _from_disj,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -336,181 +420,101 @@ class CheckedProof:
     violations: tuple[tuple[int, str], ...]
 
 
-def _index_of(earlier: Sequence[KFormula], formula: KFormula) -> int | None:
-    for j, e in enumerate(earlier):
-        if e == formula:
-            return j
+def _leading_premises(facts: _Facts, f: KFormula) -> Iterator[tuple[int, KFormula]]:
+    """The earlier formulas whose rules can conclude f, in priority order.
+
+    For Win(a) and ¬Win(a), broadcasts about a come first; then, for ¬Win,
+    every winner claim, and otherwise every disjunction with exactly one
+    disjunct more than f. The rule table decides what each one concludes.
+    """
+    formulas = facts.formulas
+    if f.kind != "win_disj":
+        for j, e in enumerate(formulas):
+            if e.kind == "brd" and e.participant == f.participant:
+                yield j, e
+    if f.kind == "not_win":
+        for j, e in enumerate(formulas):
+            if e.kind == "win":
+                yield j, e
+        return
+    members = f.participants or frozenset((f.participant,))
+    size = len(members) + 1
+    for j, e in enumerate(formulas):
+        if e.kind == "win_disj" and len(e.participants) == size and members < e.participants:
+            yield j, e
+
+
+def _first_application(
+    facts: _Facts,
+    premises: Iterable[tuple[int, KFormula]],
+    concludes: Callable[[KFormula], bool],
+    notes: list[str] | None,
+) -> _Application | None:
+    """The first application led by one of the premises, in order, whose
+    conclusion passes `concludes`. A broadcast whose source cannot be
+    resolved is noted in `notes`, or skipped silently when notes is None."""
+    skipped = (InconsistentDayContextError,) + ((UnknownNameError,) if notes is None else ())
+    for j, e in premises:
+        try:
+            for app in _RULES[e.kind](facts, j, e):
+                if concludes(app[2]):
+                    return app
+        except skipped as exc:
+            if notes is not None:
+                notes.append(str(exc))
+            continue
+        if notes is not None and e.kind == "brd" and facts.verdict(e.source) == UNKNOWN:
+            notes.append(f"{e.source} reliability unknown")
     return None
 
 
-def _day_fact_indices(earlier: Sequence[KFormula]) -> tuple[int, ...]:
-    return tuple(j for j, e in enumerate(earlier) if e.kind in ("day_is", "day_not"))
-
-
-def _broadcast_premises(
-    world: WorldSpec, source: str, base: tuple[int, ...], earlier: Sequence[KFormula]
-) -> tuple[int, ...]:
-    # a day-dependent source's verdict rests on the day facts as well
-    if world.is_day_dependent(source):
-        return base + _day_fact_indices(earlier)
-    return base
-
-
-def _implicit_not_win(
-    world: WorldSpec, beta: str, earlier: Sequence[KFormula]
-) -> tuple[tuple[int, ...], tuple[KFormula, ...]] | None:
-    """One-hop derivation of ¬Win(beta) from earlier formulas, or None."""
-    day_ctx = [e for e in earlier if e.kind in ("day_is", "day_not")]
-    for j, e in enumerate(earlier):
-        if e.kind == "brd" and e.participant == beta:
-            try:
-                verdict = resolve_reliability(world, e.source, day_ctx)
-            except (InconsistentDayContextError, UnknownNameError):
-                continue
-            if verdict == DECEITFUL:
-                return _broadcast_premises(world, e.source, (j,), earlier), (not_win(beta),)
-    for j, e in enumerate(earlier):
-        if e.kind == "win" and e.participant != beta:
-            return (j,), (not_win(beta),)
-    for j, e in enumerate(earlier):
-        if e.kind == "brd" and e.participant != beta:
-            try:
-                verdict = resolve_reliability(world, e.source, day_ctx)
-            except (InconsistentDayContextError, UnknownNameError):
-                continue
-            if verdict == TRUTHFUL:
-                return (
-                    _broadcast_premises(world, e.source, (j,), earlier),
-                    (win(e.participant), not_win(beta)),
-                )
-    return None
-
-
-def _knockouts(
-    world: WorldSpec,
-    betas: Iterable[str],
-    earlier: Sequence[KFormula],
-    strict: bool,
-) -> tuple[bool, tuple[int, ...], tuple[KFormula, ...]]:
-    """Check ¬Win(beta) for every beta, each explicit or (non-strict) one hop away."""
+def _existence_disj(
+    facts: _Facts, f: KFormula, knocked: Iterable[str], strict: bool
+) -> RuleApplication | None:
+    """ExistenceDisj, goal-directed: ¬Win(b) for every knocked-out b, each
+    listed or (non-strict) one implicit hop away, by a ¬Win rule or by a
+    truthful broadcast about someone else followed by Uniqueness."""
     premises: list[int] = []
     implicit: list[KFormula] = []
-    for beta in sorted(betas):
-        j = _index_of(earlier, not_win(beta))
+    for beta in sorted(knocked):
+        goal = _not_win(beta)
+        j = facts.first.get(goal)
         if j is not None:
             premises.append(j)
             continue
         if strict:
-            return False, (), ()
-        hop = _implicit_not_win(world, beta, earlier)
-        if hop is None:
-            return False, (), ()
-        premises.extend(hop[0])
-        implicit.extend(hop[1])
-    return True, tuple(dict.fromkeys(premises)), tuple(implicit)
+            return None
+        others = (
+            (k, e) for k, e in enumerate(facts.formulas) if e.kind == "brd" and e.participant != beta
+        )
+        app = _first_application(facts, _leading_premises(facts, goal), goal.__eq__, None) or (
+            _first_application(facts, others, lambda c: c.kind == "win", None)
+        )
+        if app is None:
+            return None
+        premises.extend(app[1])
+        implicit.extend((goal,) if app[2] == goal else (app[2], goal))
+    return RuleApplication("ExistenceDisj", tuple(dict.fromkeys(premises)), f, tuple(implicit))
 
 
-def _justify_win(
-    world: WorldSpec, f: KFormula, earlier: Sequence[KFormula], strict: bool
-) -> tuple[RuleApplication | None, str]:
-    alpha = f.participant
-    day_ctx = [e for e in earlier if e.kind in ("day_is", "day_not")]
+def _justify(facts: _Facts, f: KFormula, strict: bool) -> RuleApplication | str:
+    """The step's rule application, or the reason no rule derives it."""
+    if f.kind not in ("win", "not_win", "win_disj"):
+        if is_data(f):
+            return RuleApplication("UserData", (), f)
+        return f"formula kind {f.kind!r} cannot be derived"
     notes: list[str] = []
-    for j, e in enumerate(earlier):
-        if e.kind == "brd" and e.participant == alpha:
-            try:
-                verdict = resolve_reliability(world, e.source, day_ctx)
-            except InconsistentDayContextError as exc:
-                notes.append(str(exc))
-                continue
-            if verdict == TRUTHFUL:
-                return (
-                    RuleApplication(
-                        "TruthfulBroadcast",
-                        _broadcast_premises(world, e.source, (j,), earlier),
-                        f,
-                    ),
-                    "",
-                )
-            if verdict == UNKNOWN:
-                notes.append(f"{e.source} reliability unknown")
-    for j, e in enumerate(earlier):
-        if e.kind == "win_disj" and alpha in e.participants and len(e.participants) == 2:
-            (beta,) = e.participants - {alpha}
-            k = _index_of(earlier, not_win(beta))
-            if k is not None:
-                return RuleApplication("DisjElim", (j, k), f), ""
-    others = set(world.participants) - {alpha}
-    ok, premises, implicit = _knockouts(world, others, earlier, strict)
-    if ok:
-        return RuleApplication("ExistenceDisj", premises, f, implicit), ""
-    return None, "; ".join(notes) or f"no rule derives {f.text()!r}"
-
-
-def _justify_not_win(
-    world: WorldSpec, f: KFormula, earlier: Sequence[KFormula], strict: bool
-) -> tuple[RuleApplication | None, str]:
-    beta = f.participant
-    day_ctx = [e for e in earlier if e.kind in ("day_is", "day_not")]
-    notes: list[str] = []
-    for j, e in enumerate(earlier):
-        if e.kind == "brd" and e.participant == beta:
-            try:
-                verdict = resolve_reliability(world, e.source, day_ctx)
-            except InconsistentDayContextError as exc:
-                notes.append(str(exc))
-                continue
-            if verdict == DECEITFUL:
-                return (
-                    RuleApplication(
-                        "DeceitfulBroadcast",
-                        _broadcast_premises(world, e.source, (j,), earlier),
-                        f,
-                    ),
-                    "",
-                )
-            if verdict == UNKNOWN:
-                notes.append(f"{e.source} reliability unknown")
-    for j, e in enumerate(earlier):
-        if e.kind == "win" and e.participant != beta:
-            return RuleApplication("Uniqueness", (j,), f), ""
-    return None, "; ".join(notes) or f"no rule derives {f.text()!r}"
-
-
-def _justify_disj(
-    world: WorldSpec, f: KFormula, earlier: Sequence[KFormula], strict: bool
-) -> tuple[RuleApplication | None, str]:
-    members = f.participants
-    for j, e in enumerate(earlier):
-        if (
-            e.kind == "win_disj"
-            and members < e.participants
-            and len(e.participants) == len(members) + 1
-        ):
-            (beta,) = e.participants - members
-            k = _index_of(earlier, not_win(beta))
-            if k is not None:
-                return RuleApplication("DisjElim", (j, k), f), ""
-    knocked = set(world.participants) - members
-    ok, premises, implicit = _knockouts(world, knocked, earlier, strict)
-    if ok:
-        return RuleApplication("ExistenceDisj", premises, f, implicit), ""
-    missing = sorted(b for b in knocked if _index_of(earlier, not_win(b)) is None)
-    return None, f"cannot rule out {', '.join(missing)} for {f.text()!r}"
-
-
-def _justify(
-    world: WorldSpec, f: KFormula, earlier: Sequence[KFormula], strict: bool
-) -> tuple[RuleApplication | None, str]:
-    if is_data(f):
-        return RuleApplication("UserData", (), f), ""
-    if f.kind == "win":
-        return _justify_win(world, f, earlier, strict)
-    if f.kind == "not_win":
-        return _justify_not_win(world, f, earlier, strict)
+    app = _first_application(facts, _leading_premises(facts, f), f.__eq__, notes)
+    if app is not None:
+        return RuleApplication(app[0], app[1], f)
+    knocked = set(facts.world.participants) - (f.participants or {f.participant})
+    found = None if f.kind == "not_win" else _existence_disj(facts, f, knocked, strict)
+    if found is not None:
+        return found
     if f.kind == "win_disj":
-        return _justify_disj(world, f, earlier, strict)
-    return None, f"formula kind {f.kind!r} cannot be derived"
+        missing = sorted(b for b in knocked if _not_win(b) not in facts.first)
+        return f"cannot rule out {', '.join(missing)} for {f.text()!r}"
+    return "; ".join(notes) or f"no rule derives {f.text()!r}"
 
 
 def check_proof(
@@ -529,24 +533,23 @@ def check_proof(
     formulas = list(formulas)
     if not formulas:
         raise ValueError("empty proof listing")
+    facts = _Facts(world)
     steps: list[RuleApplication] = []
     violations: list[tuple[int, str]] = []
     for i, f in enumerate(formulas):
-        app, reason = _justify(world, f, formulas[:i], strict)
-        if app is None:
+        found = _justify(facts, f, strict)
+        if isinstance(found, str):
             steps.append(RuleApplication("Unjustified", (), f))
-            violations.append((i, reason))
+            violations.append((i, found))
         else:
-            steps.append(app)
+            steps.append(found)
+        facts.append(f)
     if formulas[-1] not in goal_forms:
         violations.append(
             (len(formulas) - 1, f"final formula {formulas[-1].text()!r} is not a goal")
         )
     return CheckedProof(
-        proof_id=proof_id,
-        steps=tuple(steps),
-        valid=not violations,
-        violations=tuple(violations),
+        proof_id=proof_id, steps=tuple(steps), valid=not violations, violations=tuple(violations)
     )
 
 
@@ -555,11 +558,10 @@ def check_knowledge_system(
 ) -> tuple[CheckedProof, ...]:
     """Parse every proof of a knowledge system as kernel formulas and check it."""
     goal_forms = {parse_kformula(g, world) for g in ks.goals}
-    results = []
-    for p in ks.proofs:
-        listing = [parse_kformula(t, world) for t in p.listing]
-        results.append(check_proof(world, listing, goal_forms, proof_id=p.id, strict=strict))
-    return tuple(results)
+    return tuple(
+        check_proof(world, [parse_kformula(t, world) for t in p.listing], goal_forms, p.id, strict)
+        for p in ks.proofs
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -606,85 +608,46 @@ def enumerate_proofs(
     if goal_pred is None:
         goal_pred = lambda participant: True
 
-    data = sorted(
-        set(user_data),
-        key=lambda f: (f.kind not in ("day_is", "day_not"), f.text()),
-    )
+    data = sorted(set(user_data), key=lambda f: (not _is_day_fact(f), f.text()))
     for f in data:
         if not is_data(f):
             raise ValueError(f"user data may only contain day and broadcast facts, got {f.text()!r}")
-    day_facts = [f for f in data if f.kind in ("day_is", "day_not")]
-    _possible_days(world, day_facts)  # raises on inconsistent day context
+    _possible_days(world, filter(_is_day_fact, data))  # raises on inconsistent day context
 
-    facts: list[KFormula] = list(data)
-    index: dict[KFormula, int] = {f: i for i, f in enumerate(facts)}
+    # passes run to a fixpoint; each pass applies the rules to the facts known
+    # when it starts, in order, and its lookups see every fact derived so far
+    facts = _Facts(world, data)
     derived_from: dict[int, tuple[int, ...]] = {}
-    applications = 0
-
-    day_idx = tuple(i for i, f in enumerate(facts) if f.kind in ("day_is", "day_not"))
-
-    def premises_for(source: str, base: tuple[int, ...]) -> tuple[int, ...]:
-        return base + day_idx if world.is_day_dependent(source) else base
-
-    def add(formula: KFormula, premises: tuple[int, ...]) -> bool:
-        nonlocal applications
-        if formula in index or applications >= max_steps:
-            return False
-        index[formula] = len(facts)
-        facts.append(formula)
-        derived_from[index[formula]] = premises
-        applications += 1
-        return True
-
     changed = True
     while changed:
         changed = False
-        for j, e in list(enumerate(facts)):
-            if e.kind == "brd":
-                verdict = resolve_reliability(world, e.source, day_facts)
-                if verdict == TRUTHFUL:
-                    changed |= add(win(e.participant), premises_for(e.source, (j,)))
-                elif verdict == DECEITFUL:
-                    changed |= add(not_win(e.participant), premises_for(e.source, (j,)))
-            elif e.kind == "win":
-                for beta in sorted(set(world.participants) - {e.participant}):
-                    changed |= add(not_win(beta), (j,))
-            elif e.kind == "not_win":
-                rest = set(world.participants) - {e.participant}
-                changed |= add(win_disj(rest), (j,))
-            elif e.kind == "win_disj":
-                for beta in sorted(e.participants):
-                    k = index.get(not_win(beta))
-                    if k is not None:
-                        changed |= add(win_disj(e.participants - {beta}), (j, k))
+        for j, e in list(enumerate(facts.formulas)):
+            rule = _RULES.get(e.kind)
+            for _, premises, conclusion in rule(facts, j, e) if rule else ():
+                if conclusion not in facts.first and len(derived_from) < max_steps:
+                    derived_from[len(facts.formulas)] = premises
+                    facts.append(conclusion)
+                    changed = True
 
-    contradictions = tuple(
-        sorted(
-            p for p in world.participants
-            if win(p) in index and not_win(p) in index
-        )
-    )
+    contradictions = tuple(sorted(
+        p for p in world.participants if _win(p) in facts.first and _not_win(p) in facts.first
+    ))
 
     def listing_for(goal_idx: int) -> ProofListing:
-        used: set[int] = set()
-        stack = [goal_idx]
-        while stack:
-            i = stack.pop()
+        # premises precede their conclusion, so one backward sweep collects them
+        used = {goal_idx}
+        for i in range(goal_idx, -1, -1):
             if i in used:
-                continue
-            used.add(i)
-            stack.extend(derived_from.get(i, ()))
-        ordered = tuple(facts[i] for i in sorted(used))
-        return ProofListing(goal=facts[goal_idx], formulas=ordered)
+                used.update(derived_from.get(i, ()))
+        ordered = tuple(facts.formulas[i] for i in sorted(used))
+        return ProofListing(goal=facts.formulas[goal_idx], formulas=ordered)
 
-    listings: list[ProofListing] = []
-    for participant in sorted(world.participants):
-        goal = win(participant)
-        if goal in index and goal_pred(participant):
-            listings.append(listing_for(index[goal]))
+    listings = [
+        listing_for(facts.first[_win(p)]) for p in sorted(world.participants)
+        if _win(p) in facts.first and goal_pred(p)
+    ]
     if include_disjunctive:
-        for f in facts:
-            if f.kind == "win_disj" and index[f] in derived_from:
-                listings.append(listing_for(index[f]))
+        # user data holds no disjunctions, so every one listed was derived
+        listings += [listing_for(i) for i, f in enumerate(facts.formulas) if f.kind == "win_disj"]
 
     return EnumerationResult(proofs=tuple(listings), contradictions=contradictions)

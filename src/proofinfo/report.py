@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 from . import __version__
 from .convergence import profile
 from .kernel import CheckedProof
-from .measure import ProbabilityMeasure, support
+from .measure import ProbabilityMeasure
 from .model import KnowledgeSystem, serialize_knowledge_system
 from .weight import weight
 
@@ -72,12 +72,11 @@ def weight_entry(
     ks: KnowledgeSystem, measure: ProbabilityMeasure, subset: Sequence[str]
 ) -> dict:
     result = weight(ks, measure, subset)
-    sup = support(ks, measure, subset)
     return {
         "subset": list(subset),
         "weight_bits": fmt_bits(result.value),
-        "support": sorted(sup.proofs),
-        "support_mass": fmt_fraction(sup.total_mass),
+        "support": sorted(result.support_ids),
+        "support_mass": fmt_fraction(result.total_mass),
         "per_goal_mass": {g: fmt_fraction(result.per_goal_terms[g]) for g in ks.goals},
         "certain": result.certain,
         "empty_support": result.empty_support,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import AbstractSet, Iterable, Mapping
 
 from .measure import ProbabilityMeasure, support, support_ids
 from .model import KnowledgeSystem
@@ -23,6 +23,7 @@ class WeightResult:
 
     `certain` and `empty_support` are decided by set containment, never by
     comparing a float to zero; when either holds, `value` is exactly 0.0.
+    `support_ids` and `total_mass` are the support the weight was computed on.
     """
 
     value: float
@@ -30,15 +31,20 @@ class WeightResult:
     support_size: int
     certain: bool
     empty_support: bool
+    support_ids: frozenset[str]
+    total_mass: Fraction
+
+
+def _structural_zero(ks: KnowledgeSystem, ids: AbstractSet[str]) -> bool:
+    """True iff a support is empty or inside one goal class, exactly when its
+    weight is 0. Purely structural; needs no measure and no floating point."""
+    return len({ks.by_id[pid].goal for pid in ids}) <= 1
 
 
 def is_certain(ks: KnowledgeSystem, subset: Iterable[str]) -> bool:
-    """True iff the subset's support is nonempty and within one goal class.
-
-    Purely structural; needs no measure and no floating point.
-    """
+    """True iff the subset's support is nonempty and within one goal class."""
     ids = support_ids(ks, subset)
-    return bool(ids) and len({ks.by_id[pid].goal for pid in ids}) == 1
+    return bool(ids) and _structural_zero(ks, ids)
 
 
 def weight(
@@ -54,11 +60,10 @@ def weight(
     never mistaken for certainty.
     """
     sup = support(ks, measure, subset)
-    goals_hit = {ks.by_id[pid].goal for pid in sup.proofs}
     empty = not sup.proofs
-    certain = len(goals_hit) == 1
-    if empty or certain:
-        # structurally settled: the two log terms cancel exactly
+    settled = _structural_zero(ks, sup.proofs)
+    if settled:
+        # the two log terms cancel exactly
         value = 0.0
     else:
         value = float(sup.total_mass) * math.log2(sup.total_mass)
@@ -70,25 +75,8 @@ def weight(
         value=value,
         per_goal_terms=sup.per_goal_mass,
         support_size=len(sup.proofs),
-        certain=certain,
+        certain=settled and not empty,
         empty_support=empty,
+        support_ids=sup.proofs,
+        total_mass=sup.total_mass,
     )
-
-
-def weight_ratio_form(
-    ks: KnowledgeSystem, measure: ProbabilityMeasure, subset: Iterable[str]
-) -> float:
-    """The weight evaluated as sum_g -m_g * log2(m_g / T), skipping zero terms.
-
-    Algebraically equal to weight(); kept as an independent cross-check of
-    the rewrite, not used as a computation path.
-    """
-    sup = support(ks, measure, subset)
-    if not sup.proofs:
-        return 0.0
-    acc = 0.0
-    for g in ks.goals:
-        m = sup.per_goal_mass[g]
-        if m:
-            acc -= float(m) * math.log2(m / sup.total_mass)
-    return acc

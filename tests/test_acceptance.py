@@ -31,7 +31,6 @@ from proofinfo import (
     enumerate_proofs,
     is_certain,
     max_subset_weight,
-    max_subset_weight_exhaustive,
     parse_kformula,
     parse_knowledge_system,
     profile,
@@ -39,7 +38,6 @@ from proofinfo import (
     serialize_knowledge_system,
     shannon_entropy,
     weight,
-    weight_ratio_form,
 )
 from frozen import (
     DAY_FACT_WEIGHT,
@@ -49,6 +47,7 @@ from frozen import (
     SINGLE_BROADCAST_WEIGHT,
     TRIPLE_WEIGHT,
 )
+from oracles import max_subset_weight_exhaustive, weight_ratio_form
 from randsys import random_subset, random_system
 
 GOLDEN = Path(__file__).parent / "golden" / "demo.json"

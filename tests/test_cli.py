@@ -278,3 +278,26 @@ def test_profile_allow_large_flag(tmp_path, capsys):
     code, report, _ = run_json(capsys, "profile", str(path), "--proof", "BIG", "--allow-large")
     assert code == 0
     assert report["results"]["profiles"]["BIG"]["certainty_threshold"] == 1
+
+
+# ---- malformed JSON ---------------------------------------------------------------
+
+def test_deeply_nested_json_exits_3(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    code, out, err = run(capsys, "check", str(path), FIXTURE)
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"error: cannot parse {path}")
+
+
+def test_duplicate_json_key_exits_3(tmp_path, capsys):
+    path = tmp_path / "dup.json"
+    path.write_text(
+        '{"goals": ["g"], "goals": ["h"], "proofs": [{"id": "P", "formulas": ["h"]}]}',
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 3
+    assert out == ""
+    assert "cannot parse" in err and "duplicate key 'goals'" in err

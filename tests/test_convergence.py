@@ -11,7 +11,6 @@ from proofinfo import (
     certainty_threshold,
     is_certain,
     max_subset_weight,
-    max_subset_weight_exhaustive,
     profile,
     proof_measure,
     support_ids,
@@ -32,6 +31,7 @@ from frozen import (
     SINGLE_BROADCAST_WEIGHT,
     TRIPLE_WEIGHT,
 )
+from oracles import max_subset_weight_exhaustive
 from randsys import random_system
 
 

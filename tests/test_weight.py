@@ -4,13 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from proofinfo import is_certain, proof_measure, weight, weight_ratio_form
+from proofinfo import is_certain, proof_measure, weight
 from frozen import (
     DAY_FACT_WEIGHT,
     PAIR_WEIGHT,
     SINGLE_BROADCAST_WEIGHT,
     TRIPLE_WEIGHT,
 )
+from oracles import weight_ratio_form
 from randsys import random_subset, random_system
 
 
