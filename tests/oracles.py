@@ -8,7 +8,7 @@ that is why these live with the tests rather than in the package.
 import itertools
 import math
 
-from proofinfo import support, weight
+from proofinfo import WeightProfile, support, support_ids, weight
 from proofinfo.errors import SizeOutOfRangeError
 
 
@@ -40,4 +40,46 @@ def max_subset_weight_exhaustive(ks, measure, proof, size) -> float:
     return max(
         weight(ks, measure, combo).value
         for combo in itertools.combinations(items, size)
+    )
+
+
+def profile_exhaustive(ks, measure, proof) -> WeightProfile:
+    """Same profile as profile(), by plain enumeration of every subset.
+
+    The maximum and the first maximizer in itertools.combinations order for
+    each size, the certainty threshold as the smallest size whose subsets all
+    have an empty or single-class support, and both averages. Intended for
+    small proofs.
+    """
+    p = ks.by_id[proof if isinstance(proof, str) else proof.id]
+    items = sorted(p.formulas)
+    n = len(items)
+    values, witnesses = [], []
+    for k in range(n + 1):
+        best, first = -math.inf, ()
+        for combo in itertools.combinations(items, k):
+            value = weight(ks, measure, combo).value
+            if value > best:
+                best, first = value, combo
+        values.append(best)
+        witnesses.append(first)
+    threshold = next(
+        k
+        for k in range(1, n + 1)
+        if all(
+            len({ks.by_id[pid].goal for pid in support_ids(ks, combo)}) <= 1
+            for combo in itertools.combinations(items, k)
+        )
+    )
+    if threshold > 1:
+        speed = sum(values[i] - values[i + 1] for i in range(1, threshold)) / (threshold - 1)
+    else:
+        speed = 0.0
+    return WeightProfile(
+        proof_id=p.id,
+        max_weights=tuple(values),
+        witnesses=tuple(witnesses),
+        certainty_threshold=threshold,
+        average_weight=sum(values[1:]) / n,
+        average_speed=speed,
     )

@@ -31,7 +31,7 @@ from frozen import (
     SINGLE_BROADCAST_WEIGHT,
     TRIPLE_WEIGHT,
 )
-from oracles import max_subset_weight_exhaustive
+from oracles import max_subset_weight_exhaustive, profile_exhaustive
 from randsys import random_system
 
 
@@ -211,6 +211,21 @@ def test_pruned_equals_exhaustive_on_random_systems():
                 pruned, witness = max_subset_weight(ks, m, p.id, k)
                 assert pruned == max_subset_weight_exhaustive(ks, m, p.id, k)
                 assert weight(ks, m, witness).value == pruned
+
+
+def test_profile_equals_exhaustive_on_random_systems():
+    rng = random.Random(33)
+    for _ in range(40):
+        ks = random_system(rng)
+        m = proof_measure(ks)
+        for p in ks.proofs:
+            prof, ref = profile(ks, m, p.id), profile_exhaustive(ks, m, p.id)
+            assert prof.proof_id == ref.proof_id
+            assert prof.max_weights == ref.max_weights
+            assert prof.witnesses == ref.witnesses
+            assert prof.certainty_threshold == ref.certainty_threshold
+            assert prof.average_weight == ref.average_weight
+            assert prof.average_speed == ref.average_speed
 
 
 def test_monotone_on_random_systems():
