@@ -9,9 +9,7 @@ violation, 3 I/O or parse failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -27,6 +25,7 @@ from .kernel import check_knowledge_system, parse_world
 from .measure import proof_measure, shannon_entropy
 from .model import (
     KnowledgeSystem,
+    _decode_json,
     builtin_example,
     normalize_formula,
     parse_knowledge_system,
@@ -67,23 +66,14 @@ class _Fail(Exception):
         self.message = message
 
 
-def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
-    """A JSON object's dict; a key given twice is an error, not last-one-wins."""
-    obj = dict(pairs)
-    if len(obj) != len(pairs):
-        counts = Counter(key for key, _ in pairs)
-        raise ValueError(f"duplicate key {next(k for k, n in counts.items() if n > 1)!r}")
-    return obj
-
-
 def _read_json(path: str) -> tuple[object, str]:
     """Read a JSON file, returning (document, content digest). I/O errors -> exit 3."""
     try:
         raw = Path(path).read_bytes()
-        return json.loads(raw.decode("utf-8"), object_pairs_hook=_unique_keys), file_digest(raw)
+        return _decode_json(raw.decode("utf-8")), file_digest(raw)
     except OSError as exc:
         raise _Fail(EXIT_IO, f"cannot read {path}: {exc}") from exc
-    except (ValueError, RecursionError) as exc:  # malformed, duplicate keys, nested too deep
+    except ValueError as exc:  # malformed, duplicate keys, nested too deep
         raise _Fail(EXIT_IO, f"cannot parse {path}: {exc}") from exc
 
 

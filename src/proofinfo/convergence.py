@@ -2,14 +2,15 @@
 
 For a proof Q and size k, the interesting number is the worst case: the
 maximum weight over all k-formula subsets of Q (an adversary reveals the
-least informative part first). This module computes that maximum exactly by
-a pruned search, finds the certainty threshold (the smallest k at which
-every k-subset already pins the goal), and derives the two summary averages.
+least informative part first). One pruned depth-first search over the
+subset lattice of Q finds that maximum and its first witness for every k,
+together with the certainty threshold (the smallest k at which every
+k-subset already pins the goal); the two summary averages and the per-size
+and threshold queries are read from its result.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -19,9 +20,9 @@ from .errors import (
     SizeOutOfRangeError,
     UnknownProofIdError,
 )
-from .measure import ProbabilityMeasure, support_ids
+from .measure import ProbabilityMeasure, proof_measure
 from .model import KnowledgeSystem, Proof
-from .weight import _structural_zero, weight
+from .weight import weight
 
 # Subset search is exponential in the proof size; refuse absurd inputs
 # unless the caller explicitly opts in.
@@ -60,14 +61,6 @@ def _resolve_proof(ks: KnowledgeSystem, proof: Proof | str) -> Proof:
     return found
 
 
-def _guard_size(p: Proof, allow_large: bool) -> None:
-    if len(p.formulas) > MAX_PROOF_FORMULAS and not allow_large:
-        raise ProofTooLargeError(
-            f"proof {p.id!r} has {len(p.formulas)} formulas "
-            f"(limit {MAX_PROOF_FORMULAS}); pass allow_large to search anyway"
-        )
-
-
 def max_subset_weight(
     ks: KnowledgeSystem,
     measure: ProbabilityMeasure,
@@ -77,47 +70,15 @@ def max_subset_weight(
 ) -> tuple[float, tuple[str, ...]]:
     """Worst-case weight over all subsets of the proof with exactly `size` formulas.
 
-    Exact branch-and-bound: subsets are explored in lexicographic order of
-    their sorted formula texts, and a partial subset whose own weight cannot
-    beat the incumbent is pruned (weight never increases as a subset grows).
-    Returns the maximum and the first maximizing subset in lexicographic
-    order.
+    Read from the proof's profile. Returns the maximum and the first
+    maximizing subset in lexicographic order of the sorted formula texts.
     """
     p = _resolve_proof(ks, proof)
-    items = sorted(p.formulas)
-    n = len(items)
+    n = len(p.formulas)
     if not 0 <= size <= n:
         raise SizeOutOfRangeError(f"size {size} outside 0..{n} for proof {p.id!r}")
-    _guard_size(p, allow_large)
-
-    best_value = -math.inf
-    best_witness: tuple[str, ...] = ()
-
-    def search(chosen: list[str], start: int) -> None:
-        nonlocal best_value, best_witness
-        result = weight(ks, measure, chosen)
-        if len(chosen) == size:
-            if result.value > best_value:
-                best_value, best_witness = result.value, tuple(chosen)
-            return
-        need = size - len(chosen)
-        if result.certain or result.empty_support:
-            # settled subtree: every completion keeps weight exactly 0.0, so
-            # record its lexicographically first completion once (preserves
-            # tie order) and skip the rest
-            if best_value < 0.0:
-                best_value = 0.0
-                best_witness = tuple(chosen) + tuple(items[start:start + need])
-            return
-        if result.value <= best_value - _PRUNE_MARGIN:
-            return
-        for i in range(start, n - need + 1):
-            chosen.append(items[i])
-            search(chosen, i + 1)
-            chosen.pop()
-
-    search([], 0)
-    return best_value, best_witness
+    prof = profile(ks, measure, p, allow_large=allow_large)
+    return prof.max_weights[size], prof.witnesses[size]
 
 
 def certainty_threshold(
@@ -125,20 +86,12 @@ def certainty_threshold(
 ) -> int:
     """Smallest k such that every size-k subset of the proof pins the goal.
 
-    Decided structurally (set containment), never by float comparison.
-    Always in 1..len(proof): the full formula set is certain because any
-    proof containing it contains its goal and so lies in the same class.
+    Read from the proof's profile, whose search decides it structurally (set
+    containment), never by float comparison. Always in 1..len(proof): the
+    full formula set is certain because any proof containing it contains its
+    goal and so lies in the same class.
     """
-    p = _resolve_proof(ks, proof)
-    _guard_size(p, allow_large)
-    items = sorted(p.formulas)
-    for k in range(1, len(items) + 1):
-        if all(_structural_zero(ks, support_ids(ks, c)) for c in itertools.combinations(items, k)):
-            return k
-    raise InternalInvariantViolation(
-        f"no subset size of proof {p.id!r} guarantees certainty; "
-        "the one-goal-per-proof invariant must be broken"
-    )
+    return profile(ks, proof_measure(ks), proof, allow_large=allow_large).certainty_threshold
 
 
 def average_weight(
@@ -148,13 +101,7 @@ def average_weight(
     allow_large: bool = False,
 ) -> float:
     """Mean worst-case weight over subset sizes 1..len(proof)."""
-    p = _resolve_proof(ks, proof)
-    n = len(p.formulas)
-    values = [
-        max_subset_weight(ks, measure, p, k, allow_large=allow_large)[0]
-        for k in range(1, n + 1)
-    ]
-    return sum(values) / n
+    return profile(ks, measure, proof, allow_large=allow_large).average_weight
 
 
 def average_speed(
@@ -170,15 +117,7 @@ def average_speed(
     the tests). A threshold of 1 means the proof is certain from its first
     formula; there is no step to average over, so the speed is defined as 0.
     """
-    z = certainty_threshold(ks, proof, allow_large=allow_large)
-    if z == 1:
-        return 0.0
-    values = [
-        max_subset_weight(ks, measure, proof, k, allow_large=allow_large)[0]
-        for k in range(1, z + 1)
-    ]
-    drops = [values[i] - values[i + 1] for i in range(z - 1)]
-    return sum(drops) / (z - 1)
+    return profile(ks, measure, proof, allow_large=allow_large).average_speed
 
 
 def profile(
@@ -187,31 +126,71 @@ def profile(
     proof: Proof | str,
     allow_large: bool = False,
 ) -> WeightProfile:
-    """Full convergence profile of one proof.
+    """Full convergence profile of one proof, from one subset-lattice search.
 
-    The max_weights sequence is computed once and reused for both averages.
+    Exact branch-and-bound: the subsets of the sorted formula texts are
+    visited in lexicographic preorder, with one weight() evaluation each, and
+    a subset whose own weight cannot beat the incumbent at any size it can
+    still reach is not extended (weight never increases as a subset grows).
     Index 0 (the empty subset, weight log2 M) anchors the curve even though
     the averages start at size 1.
     """
     p = _resolve_proof(ks, proof)
     n = len(p.formulas)
-    pairs = [
-        max_subset_weight(ks, measure, p, k, allow_large=allow_large)
-        for k in range(n + 1)
-    ]
-    values = tuple(v for v, _ in pairs)
-    witnesses = tuple(w for _, w in pairs)
-    z = certainty_threshold(ks, p, allow_large=allow_large)
-    avg_weight = sum(values[1:]) / n
+    if n > MAX_PROOF_FORMULAS and not allow_large:
+        raise ProofTooLargeError(
+            f"proof {p.id!r} has {n} formulas "
+            f"(limit {MAX_PROOF_FORMULAS}); pass allow_large to search anyway"
+        )
+    items = sorted(p.formulas)
+    best = [-math.inf] * (n + 1)
+    witness: list[tuple[str, ...]] = [()] * (n + 1)
+    deepest_unsettled = 0
+
+    def visit(chosen: list[str], start: int) -> None:
+        nonlocal deepest_unsettled
+        size = len(chosen)
+        result = weight(ks, measure, chosen)
+        if result.value > best[size]:
+            best[size], witness[size] = result.value, tuple(chosen)
+        reach = range(size + 1, size + n - start + 1)
+        if result.certain or result.empty_support:
+            # settled subtree: every completion keeps weight exactly 0.0, so
+            # each size without an incumbent yet takes its lexicographically
+            # first completion (preserves tie order) and the rest is skipped
+            for k in reach:
+                if best[k] < 0.0:
+                    best[k], witness[k] = 0.0, (*chosen, *items[start:start + k - size])
+            return
+        deepest_unsettled = max(deepest_unsettled, size)
+        if all(result.value <= best[k] - _PRUNE_MARGIN for k in reach):
+            return
+        for i in range(start, n):
+            chosen.append(items[i])
+            visit(chosen, i + 1)
+            chosen.pop()
+
+    visit([], 0)
+    # Settled sets are upward-closed, so the threshold is one more than the
+    # largest unsettled size. Pruning keeps that structural: an unsettled
+    # subset is skipped only when, at its size, a visited subset already
+    # weighs more than its pruned ancestor, hence more than 0, hence is
+    # itself unsettled.
+    z = deepest_unsettled + 1
+    if z > n:
+        raise InternalInvariantViolation(
+            f"no subset size of proof {p.id!r} guarantees certainty; "
+            "the one-goal-per-proof invariant must be broken"
+        )
     if z > 1:
-        avg_speed = sum(values[i] - values[i + 1] for i in range(1, z)) / (z - 1)
+        avg_speed = sum(best[i] - best[i + 1] for i in range(1, z)) / (z - 1)
     else:
         avg_speed = 0.0
     return WeightProfile(
         proof_id=p.id,
-        max_weights=values,
-        witnesses=witnesses,
+        max_weights=tuple(best),
+        witnesses=tuple(witness),
         certainty_threshold=z,
-        average_weight=avg_weight,
+        average_weight=sum(best[1:]) / n,
         average_speed=avg_speed,
     )

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import NotADistributionError, UnknownGoalError
@@ -19,7 +20,7 @@ from .model import KnowledgeSystem
 
 @dataclass(frozen=True)
 class ProbabilityMeasure:
-    """Exact per-proof and per-goal masses. Immutable; do not mutate the dicts."""
+    """Exact per-proof and per-goal masses, as read-only mappings."""
 
     per_proof: Mapping[str, Fraction]
     per_goal: Mapping[str, Fraction]
@@ -40,10 +41,10 @@ class Support:
 
 def proof_measure(ks: KnowledgeSystem) -> ProbabilityMeasure:
     """The maximum-uncertainty measure: mass 1/(M * class size) per proof."""
-    per_proof = {
+    per_proof = MappingProxyType({
         p.id: Fraction(1, ks.M * len(ks.classes[p.goal])) for p in ks.proofs
-    }
-    per_goal = {g: Fraction(1, ks.M) for g in ks.goals}
+    })
+    per_goal = MappingProxyType({g: Fraction(1, ks.M) for g in ks.goals})
     return ProbabilityMeasure(per_proof=per_proof, per_goal=per_goal)
 
 

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 from .errors import (
     DuplicateProofBodyError,
@@ -68,7 +70,7 @@ class Proof:
 class KnowledgeSystem:
     """Validated, immutable collection of proofs with goal-class indexes.
 
-    Attributes (read-only by convention):
+    Attributes (the mappings are read-only views):
       goals:    declared goal formulas, in input order
       goal_set: the same goals as a frozenset
       proofs:   tuple of Proof in input order
@@ -134,10 +136,10 @@ class KnowledgeSystem:
             built.append(Proof(id=pid, formulas=body, goal=goals_in[0], listing=tuple(listing)))
 
         self.proofs: tuple[Proof, ...] = tuple(built)
-        self.by_id: dict[str, Proof] = {p.id: p for p in built}
-        self.classes: dict[str, tuple[str, ...]] = {
+        self.by_id: Mapping[str, Proof] = MappingProxyType({p.id: p for p in built})
+        self.classes: Mapping[str, tuple[str, ...]] = MappingProxyType({
             g: tuple(p.id for p in built if p.goal == g) for g in self.goals
-        }
+        })
         for g, members in self.classes.items():
             if not members:
                 raise UncoveredGoalError(f"goal {g!r} appears in no proof")
@@ -209,13 +211,31 @@ def serialize_knowledge_system(ks: KnowledgeSystem) -> dict:
     }
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's dict; a key given twice is an error, not last-one-wins."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        counts = Counter(key for key, _ in pairs)
+        raise ValueError(f"duplicate key {next(k for k, n in counts.items() if n > 1)!r}")
+    return obj
+
+
+def _decode_json(text: str) -> object:
+    """Decode JSON; malformed text, duplicate keys and over-deep nesting raise ValueError."""
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except RecursionError as exc:
+        raise ValueError(str(exc)) from exc
+
+
 def load_knowledge_system(path: str | Path) -> KnowledgeSystem:
     """Read and validate a knowledge-system JSON file.
 
-    I/O and JSON errors propagate unchanged; schema and invariant violations
-    raise the package's own exception types.
+    I/O errors propagate unchanged, and JSON errors (including a duplicated
+    object key or nesting too deep) as ValueError; schema and invariant
+    violations raise the package's own exception types.
     """
-    return parse_knowledge_system(json.loads(Path(path).read_text(encoding="utf-8")))
+    return parse_knowledge_system(_decode_json(Path(path).read_text(encoding="utf-8")))
 
 
 def builtin_example() -> KnowledgeSystem:

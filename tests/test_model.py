@@ -4,8 +4,10 @@ import pytest
 
 from proofinfo import (
     builtin_example,
+    load_knowledge_system,
     normalize_formula,
     parse_knowledge_system,
+    proof_measure,
     serialize_knowledge_system,
 )
 from proofinfo.errors import (
@@ -165,3 +167,33 @@ def test_fixture_validates_cleanly():
     # the shipped example must satisfy its own invariants
     ks = builtin_example()
     assert ks == parse_knowledge_system(serialize_knowledge_system(ks))
+
+
+def test_load_rejects_duplicate_json_key(tmp_path):
+    path = tmp_path / "dup.json"
+    path.write_text(
+        '{"goals": ["g"], "goals": ["h"], "proofs": [{"id": "P", "formulas": ["h"]}]}',
+        encoding="utf-8",
+    )
+    with pytest.raises(ValueError, match="duplicate key 'goals'"):
+        load_knowledge_system(path)
+
+
+def test_load_rejects_deeply_nested_json(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    with pytest.raises(ValueError, match="recursion"):
+        load_knowledge_system(path)
+
+
+def test_indexes_and_measure_are_read_only():
+    ks = builtin_example()
+    measure = proof_measure(ks)
+    for mapping, key in (
+        (ks.by_id, "QB1"),
+        (ks.classes, "Win(Bok)"),
+        (measure.per_proof, "QB1"),
+        (measure.per_goal, "Win(Bok)"),
+    ):
+        with pytest.raises(TypeError):
+            mapping[key] = ()
