@@ -1,6 +1,18 @@
+import shutil
+import tempfile
+
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from proofinfo import builtin_example, builtin_world, proof_measure
+
+
+def pytest_configure(config):
+    # Hypothesis caches the constants it reads from source files; keep that
+    # cache out of the working tree (the tests keep no example database)
+    home = tempfile.mkdtemp(prefix="hypothesis-")
+    set_hypothesis_home_dir(home)
+    config.add_cleanup(lambda: shutil.rmtree(home, ignore_errors=True))
 
 
 @pytest.fixture(scope="session")

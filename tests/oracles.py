@@ -7,9 +7,26 @@ that is why these live with the tests rather than in the package.
 
 import itertools
 import math
+from fractions import Fraction
 
-from proofinfo import WeightProfile, support, support_ids, weight
+from proofinfo import Support, WeightProfile, support, support_ids, weight
 from proofinfo.errors import SizeOutOfRangeError
+
+
+def support_by_class_scan(ks, measure, subset) -> Support:
+    """Same support as support(), by scanning every goal class for members.
+
+    Each class's mass sums the masses of its proofs that lie in the support;
+    the total sums the masses of the member proofs a second time.
+    """
+    ids = support_ids(ks, subset)
+    per_goal = {
+        g: sum((measure.per_proof[pid] for pid in ks.classes[g] if pid in ids),
+               Fraction(0))
+        for g in ks.goals
+    }
+    total = sum((measure.per_proof[pid] for pid in ids), Fraction(0))
+    return Support(proofs=ids, per_goal_mass=per_goal, total_mass=total)
 
 
 def weight_ratio_form(ks, measure, subset) -> float:

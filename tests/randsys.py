@@ -1,8 +1,10 @@
-"""Seeded random knowledge systems for property tests."""
+"""Seeded random knowledge systems, and a Hypothesis strategy, for property tests."""
 
 from __future__ import annotations
 
 import random
+
+from hypothesis import strategies as st
 
 from proofinfo import KnowledgeSystem
 
@@ -35,3 +37,25 @@ def random_system(
 def random_subset(rng: random.Random, formulas: frozenset[str]) -> list[str]:
     items = sorted(formulas)
     return rng.sample(items, k=rng.randint(0, len(items)))
+
+
+@st.composite
+def systems(draw, max_goals: int = 5, max_class_size: int = 4, max_formulas: int = 8):
+    """Hypothesis strategy for small valid systems of up to `max_formulas` per proof.
+
+    Fillers are shared across goals so supports straddle classes; a body
+    drawn twice is dropped, which never uncovers a goal (a goal's first body
+    is the only one holding that goal so far).
+    """
+    goals = [f"g{i}" for i in range(draw(st.integers(1, max_goals)))]
+    fillers = [f"f{i}" for i in range(draw(st.integers(1, max_formulas)))]
+    proofs: list[tuple[str, list[str]]] = []
+    seen: set[frozenset[str]] = set()
+    for g in goals:
+        for _ in range(draw(st.integers(1, max_class_size))):
+            extra = draw(st.sets(st.sampled_from(fillers), max_size=max_formulas - 1))
+            body = frozenset([g, *extra])
+            if body not in seen:
+                seen.add(body)
+                proofs.append((f"P{len(proofs)}", sorted(body)))
+    return KnowledgeSystem(goals, proofs)
