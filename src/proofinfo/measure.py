@@ -30,8 +30,8 @@ class ProbabilityMeasure:
 class Support:
     """The proofs containing a formula subset, with their exact masses.
 
-    total_mass is computed directly over the member proofs; the per-goal
-    masses partition it exactly.
+    per_goal_mass is read-only, keyed in goal order; total_mass is its sum,
+    which is the mass of the member proofs since each proof has one goal.
     """
 
     proofs: frozenset[str]
@@ -70,13 +70,11 @@ def support(
     from all proofs yields an empty support with mass zero.
     """
     ids = support_ids(ks, subset)
-    per_goal = {
-        g: sum((measure.per_proof[pid] for pid in ks.classes[g] if pid in ids),
-               Fraction(0))
-        for g in ks.goals
-    }
-    total = sum((measure.per_proof[pid] for pid in ids), Fraction(0))
-    return Support(proofs=ids, per_goal_mass=per_goal, total_mass=total)
+    per_goal = dict.fromkeys(ks.goals, Fraction(0))
+    for pid in ids:
+        per_goal[ks.by_id[pid].goal] += measure.per_proof[pid]
+    total = sum(per_goal.values(), Fraction(0))
+    return Support(proofs=ids, per_goal_mass=MappingProxyType(per_goal), total_mass=total)
 
 
 def shannon_entropy(dist: Iterable[Fraction | int | str]) -> float:
