@@ -77,7 +77,16 @@ class KnowledgeSystem:
       by_id:    proof id -> Proof
       classes:  goal -> tuple of ids of the proofs with that goal
       M:        number of goals
+
+    Setting or deleting an attribute raises AttributeError.
     """
+
+    goals: tuple[str, ...]
+    goal_set: frozenset[str]
+    proofs: tuple[Proof, ...]
+    by_id: Mapping[str, Proof]
+    classes: Mapping[str, tuple[str, ...]]
+    M: int
 
     def __init__(
         self,
@@ -96,8 +105,7 @@ class KnowledgeSystem:
         if not goal_list:
             raise MalformedDocumentError("a knowledge system needs at least one goal")
 
-        self.goals: tuple[str, ...] = tuple(goal_list)
-        self.goal_set: frozenset[str] = frozenset(goal_list)
+        goal_set = frozenset(goal_list)
 
         built: list[Proof] = []
         seen_ids: set[str] = set()
@@ -121,7 +129,7 @@ class KnowledgeSystem:
             if not body:
                 raise NoGoalInProofError(f"proof {pid!r} contains no formulas")
 
-            goals_in = sorted(self.goal_set & body)
+            goals_in = sorted(goal_set & body)
             if not goals_in:
                 raise NoGoalInProofError(f"proof {pid!r} contains no goal formula")
             if len(goals_in) > 1:
@@ -135,15 +143,25 @@ class KnowledgeSystem:
             seen_bodies[body] = pid
             built.append(Proof(id=pid, formulas=body, goal=goals_in[0], listing=tuple(listing)))
 
-        self.proofs: tuple[Proof, ...] = tuple(built)
-        self.by_id: Mapping[str, Proof] = MappingProxyType({p.id: p for p in built})
-        self.classes: Mapping[str, tuple[str, ...]] = MappingProxyType({
-            g: tuple(p.id for p in built if p.goal == g) for g in self.goals
-        })
-        for g, members in self.classes.items():
+        classes = {g: tuple(p.id for p in built if p.goal == g) for g in goal_list}
+        for g, members in classes.items():
             if not members:
                 raise UncoveredGoalError(f"goal {g!r} appears in no proof")
-        self.M: int = len(self.goals)
+        # bypasses __setattr__, which refuses every later change
+        vars(self).update(
+            goals=tuple(goal_list),
+            goal_set=goal_set,
+            proofs=tuple(built),
+            by_id=MappingProxyType({p.id: p for p in built}),
+            classes=MappingProxyType(classes),
+            M=len(goal_list),
+        )
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"KnowledgeSystem is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"KnowledgeSystem is immutable; cannot delete {name!r}")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, KnowledgeSystem):

@@ -9,6 +9,8 @@ from proofinfo import (
     parse_knowledge_system,
     proof_measure,
     serialize_knowledge_system,
+    support,
+    weight,
 )
 from proofinfo.errors import (
     DuplicateProofBodyError,
@@ -197,3 +199,20 @@ def test_indexes_and_measure_are_read_only():
     ):
         with pytest.raises(TypeError):
             mapping[key] = ()
+
+
+def test_system_attributes_and_support_masses_are_read_only():
+    ks = builtin_example()
+    measure = proof_measure(ks)
+    for name in ("goals", "goal_set", "proofs", "by_id", "classes", "M", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(ks, name, ())
+        with pytest.raises(AttributeError):
+            delattr(ks, name)
+    for mapping in (
+        support(ks, measure, {"Day=Fri"}).per_goal_mass,
+        weight(ks, measure, {"Day=Fri"}).per_goal_terms,
+    ):
+        with pytest.raises(TypeError):
+            mapping["Win(Bok)"] = 0
+    assert proof_measure(ks) == measure
