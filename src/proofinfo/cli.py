@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
@@ -22,7 +21,7 @@ from .errors import (
     UnknownProofIdError,
 )
 from .kernel import check_knowledge_system, parse_world
-from .measure import proof_measure, shannon_entropy
+from .measure import _probability, proof_measure, shannon_entropy
 from .model import (
     KnowledgeSystem,
     _decode_json,
@@ -165,7 +164,7 @@ def _cmd_profile(args: argparse.Namespace) -> tuple[dict, int]:
 def _cmd_entropy(args: argparse.Namespace) -> tuple[dict, int]:
     parts = [p.strip() for p in args.dist.split(",") if p.strip()]
     try:
-        dist = [Fraction(p) for p in parts]
+        dist = [_probability(p) for p in parts]
         value = shannon_entropy(dist)
     except (ValueError, ZeroDivisionError) as exc:
         raise _Fail(EXIT_DOMAIN, f"bad probability: {exc}") from exc

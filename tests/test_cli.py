@@ -206,6 +206,18 @@ def test_entropy_rejects_non_distribution(capsys):
     assert code == 2
 
 
+def test_entropy_refuses_entries_past_the_digit_limit(capsys):
+    # expanding this exponent exactly would take far longer than a second
+    code, out, err = run(capsys, "entropy", "--dist", "1e-999999999,1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad probability")
+    # a denominator of 4301 digits could not be printed back in the report
+    half_and_a_bit = "0.5" + "0" * 4298 + "1"
+    code, out, err = run(capsys, "entropy", "--dist", f"{half_and_a_bit},0.4{'9' * 4299}")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad probability")
+
+
 # ---- check ----------------------------------------------------------------------
 
 def test_check_fixture_all_valid(capsys):

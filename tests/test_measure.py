@@ -133,3 +133,12 @@ def test_entropy_rejects_bad_input():
 
 def test_entropy_zero_terms_dropped():
     assert shannon_entropy([Fraction(1), Fraction(0)]) == 0.0
+
+
+def test_entropy_refuses_huge_exponent():
+    with pytest.raises(NotADistributionError, match="exponent"):
+        shannon_entropy(["1e-999999999", "1"])
+
+
+def test_entropy_entry_below_float_range_adds_zero():
+    assert shannon_entropy(["1e-400", "0." + "9" * 400]) == 0.0
