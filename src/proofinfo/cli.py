@@ -89,7 +89,7 @@ def _parse_subset(args: argparse.Namespace) -> list[str]:
     if args.subset_file is not None:
         try:
             lines = Path(args.subset_file).read_text(encoding="utf-8").splitlines()
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # unreadable, or not UTF-8
             raise _Fail(EXIT_IO, f"cannot read {args.subset_file}: {exc}") from exc
         parts = [line for line in lines if line.strip()]
     else:
@@ -270,7 +270,11 @@ def main(argv: list[str] | None = None) -> int:
     except _Fail as fail:
         print(f"error: {fail.message}", file=sys.stderr)
         return fail.code
-    sys.stdout.write(render(report, args.format))
+    try:
+        sys.stdout.write(render(report, args.format))
+    except UnicodeEncodeError as exc:  # e.g. a lone surrogate from a JSON \u escape
+        print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        return EXIT_IO
     return code
 
 
