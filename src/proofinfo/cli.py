@@ -21,10 +21,11 @@ from .errors import (
     UnknownProofIdError,
 )
 from .kernel import check_knowledge_system, parse_world
-from .measure import _probability, proof_measure, shannon_entropy
+from .measure import proof_measure, shannon_entropy
 from .model import (
     KnowledgeSystem,
     _decode_json,
+    _parse_probability,
     builtin_example,
     normalize_formula,
     parse_knowledge_system,
@@ -164,7 +165,7 @@ def _cmd_profile(args: argparse.Namespace) -> tuple[dict, int]:
 def _cmd_entropy(args: argparse.Namespace) -> tuple[dict, int]:
     parts = [p.strip() for p in args.dist.split(",") if p.strip()]
     try:
-        dist = [_probability(p) for p in parts]
+        dist = [_parse_probability(p) for p in parts]
         value = shannon_entropy(dist)
     except (ValueError, ZeroDivisionError) as exc:
         raise _Fail(EXIT_DOMAIN, f"bad probability: {exc}") from exc

@@ -9,14 +9,13 @@ proof is equiprobable.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import NotADistributionError, UnknownGoalError
-from .model import KnowledgeSystem
+from .model import KnowledgeSystem, _parse_probability
 
 
 @dataclass(frozen=True)
@@ -78,41 +77,14 @@ def support(
     return Support(proofs=ids, per_goal_mass=MappingProxyType(per_goal), total_mass=total)
 
 
-# Python's default limit on the digits of an int read from or written as a
-# string. A probability given as a string is held to it, so a short entry
-# such as "1e-999999999" is refused before it builds a huge power of ten,
-# and every accepted entry can be printed back.
-_MAX_DIGITS = 4300
-_EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
-
-
-def _probability(value: Fraction | int | str) -> Fraction:
-    """The exact rational of one distribution entry, as Fraction() reads it.
-
-    A string whose decimal exponent or value needs more than _MAX_DIGITS
-    digits raises ValueError.
-    """
-    if isinstance(value, str):
-        exponent = _EXPONENT.search(value)
-        # an exponent of at most four digits is cheap to expand, and the
-        # value check below refuses whatever it takes past _MAX_DIGITS
-        if exponent and len(exponent[1].replace("_", "").lstrip("0")) > 4:
-            raise ValueError(f"exponent out of range in {value!r}")
-    p = Fraction(value)
-    if isinstance(value, str) and max(abs(p.numerator), p.denominator) >= 10**_MAX_DIGITS:
-        raise ValueError(f"{value!r} needs more than {_MAX_DIGITS} digits")
-    return p
-
-
 def shannon_entropy(dist: Iterable[Fraction | int | str]) -> float:
     """Shannon entropy in bits of an exact distribution, with 0*log(0) = 0.
 
-    Entries must be nonnegative rationals summing to one exactly; strings
-    like "1/4" are accepted and converted exactly. An entry too small for a
-    float adds 0.
+    Entries must be nonnegative rationals summing to one exactly (strings
+    like "1/4" are read exactly); an entry too small for a float adds 0.
     """
     try:
-        probs = [_probability(p) for p in dist]
+        probs = [_parse_probability(p) for p in dist]
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise NotADistributionError(f"not an exact probability: {exc}") from exc
     if any(p < 0 for p in probs):
@@ -121,8 +93,7 @@ def shannon_entropy(dist: Iterable[Fraction | int | str]) -> float:
     if total != 1:
         raise NotADistributionError(f"probabilities sum to {total}, not 1")
     acc = 0.0
-    for p in probs:
-        x = float(p)
+    for x in map(float, probs):
         if x > 0:
             acc -= x * math.log2(x)
     return acc

@@ -3,7 +3,8 @@
 A formula is a normalized opaque string; a proof is a named finite set of
 formulas containing exactly one goal; a knowledge system bundles the goals,
 the proofs, and the derived goal-class index. Knowledge systems are immutable
-after construction and safe to share across threads.
+after construction and safe to share across threads. The bounded readers of
+JSON text and of exact probabilities, which other layers share, live here too.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -244,6 +246,32 @@ def _decode_json(text: str) -> object:
         return json.loads(text, object_pairs_hook=_unique_keys)
     except RecursionError as exc:
         raise ValueError(str(exc)) from exc
+
+
+# Python's default limit on the digits of an int read from or written as a
+# string. A probability given as a string is held to it, so a short entry
+# such as "1e-999999999" is refused before it builds a huge power of ten,
+# and every accepted entry can be printed back.
+_MAX_DIGITS = 4300
+_EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
+
+
+def _parse_probability(value: Fraction | int | str) -> Fraction:
+    """The exact rational of one distribution entry, as Fraction() reads it.
+
+    A string whose decimal exponent or value needs more than _MAX_DIGITS
+    digits raises ValueError.
+    """
+    if isinstance(value, str):
+        exponent = _EXPONENT.search(value)
+        # an exponent of at most four digits is cheap to expand, and the
+        # value check below refuses whatever it takes past _MAX_DIGITS
+        if exponent and len(exponent[1].replace("_", "").lstrip("0")) > 4:
+            raise ValueError(f"exponent out of range in {value!r}")
+    p = Fraction(value)
+    if isinstance(value, str) and max(abs(p.numerator), p.denominator) >= 10**_MAX_DIGITS:
+        raise ValueError(f"{value!r} needs more than {_MAX_DIGITS} digits")
+    return p
 
 
 def load_knowledge_system(path: str | Path) -> KnowledgeSystem:
