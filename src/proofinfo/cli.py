@@ -90,7 +90,7 @@ def _parse_subset(args: argparse.Namespace) -> list[str]:
     if args.subset_file is not None:
         try:
             lines = Path(args.subset_file).read_text(encoding="utf-8").splitlines()
-        except (OSError, ValueError) as exc:  # unreadable, or not UTF-8
+        except (OSError, UnicodeDecodeError) as exc:
             raise _Fail(EXIT_IO, f"cannot read {args.subset_file}: {exc}") from exc
         parts = [line for line in lines if line.strip()]
     else:

@@ -262,14 +262,15 @@ def _parse_probability(value: Fraction | int | str) -> Fraction:
     A string whose decimal exponent or value needs more than _MAX_DIGITS
     digits raises ValueError.
     """
-    if isinstance(value, str):
-        exponent = _EXPONENT.search(value)
-        # an exponent of at most four digits is cheap to expand, and the
-        # value check below refuses whatever it takes past _MAX_DIGITS
-        if exponent and len(exponent[1].replace("_", "").lstrip("0")) > 4:
-            raise ValueError(f"exponent out of range in {value!r}")
+    if not isinstance(value, str):
+        return Fraction(value)
+    exponent = _EXPONENT.search(value)
+    # an exponent of at most four digits is cheap to expand, and the value
+    # check below refuses whatever it takes past _MAX_DIGITS
+    if exponent and len(exponent[1].replace("_", "").lstrip("0")) > 4:
+        raise ValueError(f"exponent out of range in {value!r}")
     p = Fraction(value)
-    if isinstance(value, str) and max(abs(p.numerator), p.denominator) >= 10**_MAX_DIGITS:
+    if max(abs(p.numerator), p.denominator) >= 10**_MAX_DIGITS:
         raise ValueError(f"{value!r} needs more than {_MAX_DIGITS} digits")
     return p
 
