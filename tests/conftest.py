@@ -8,8 +8,9 @@ from proofinfo import builtin_example, builtin_world, proof_measure
 
 
 def pytest_configure(config):
-    # Hypothesis caches the constants it reads from source files; keep that
-    # cache out of the working tree (the tests keep no example database)
+    # Hypothesis writes a cache of the constants in the source files, and a
+    # patch for each failing example, under its storage directory; keep those
+    # out of the working tree (the tests keep no example database)
     home = tempfile.mkdtemp(prefix="hypothesis-")
     set_hypothesis_home_dir(home)
     config.add_cleanup(lambda: shutil.rmtree(home, ignore_errors=True))
