@@ -9,8 +9,14 @@ import itertools
 import math
 from fractions import Fraction
 
-from proofinfo import Support, WeightProfile, support, support_ids, weight
+from proofinfo import Support, WeightProfile, WeightResult
 from proofinfo.errors import SizeOutOfRangeError
+
+
+def support_ids_scan(ks, subset) -> frozenset:
+    """Same ids as support_ids(), by testing every proof for containment."""
+    wanted = frozenset(subset)
+    return frozenset(p.id for p in ks.proofs if wanted <= p.formulas)
 
 
 def support_by_class_scan(ks, measure, subset) -> Support:
@@ -19,7 +25,7 @@ def support_by_class_scan(ks, measure, subset) -> Support:
     Each class's mass sums the masses of its proofs that lie in the support;
     the total sums the masses of the member proofs a second time.
     """
-    ids = support_ids(ks, subset)
+    ids = support_ids_scan(ks, subset)
     per_goal = {
         g: sum((measure.per_proof[pid] for pid in ks.classes[g] if pid in ids),
                Fraction(0))
@@ -29,12 +35,41 @@ def support_by_class_scan(ks, measure, subset) -> Support:
     return Support(proofs=ids, per_goal_mass=per_goal, total_mass=total)
 
 
+def weight_by_fractions(ks, measure, subset) -> WeightResult:
+    """Same result as weight(), from support_by_class_scan's Fraction masses.
+
+    The difference form sum_g -m_g * log2(m_g) + T * log2(T), term by term
+    in goal order, and exactly 0.0 for a support that is empty or inside one
+    goal class.
+    """
+    sup = support_by_class_scan(ks, measure, subset)
+    empty = not sup.proofs
+    settled = len({ks.by_id[pid].goal for pid in sup.proofs}) <= 1
+    if settled:
+        value = 0.0
+    else:
+        value = float(sup.total_mass) * math.log2(sup.total_mass)
+        for g in ks.goals:
+            m = sup.per_goal_mass[g]
+            if m:
+                value -= float(m) * math.log2(m)
+    return WeightResult(
+        value=value,
+        per_goal_terms=sup.per_goal_mass,
+        support_size=len(sup.proofs),
+        certain=settled and not empty,
+        empty_support=empty,
+        support_ids=sup.proofs,
+        total_mass=sup.total_mass,
+    )
+
+
 def weight_ratio_form(ks, measure, subset) -> float:
     """The weight evaluated as sum_g -m_g * log2(m_g / T), skipping zero terms.
 
     Algebraically equal to weight(), which evaluates the difference form.
     """
-    sup = support(ks, measure, subset)
+    sup = support_by_class_scan(ks, measure, subset)
     if not sup.proofs:
         return 0.0
     acc = 0.0
@@ -55,7 +90,7 @@ def max_subset_weight_exhaustive(ks, measure, proof, size) -> float:
     if not 0 <= size <= len(items):
         raise SizeOutOfRangeError(f"size {size} outside 0..{len(items)} for proof {p.id!r}")
     return max(
-        weight(ks, measure, combo).value
+        weight_by_fractions(ks, measure, combo).value
         for combo in itertools.combinations(items, size)
     )
 
@@ -75,7 +110,7 @@ def profile_exhaustive(ks, measure, proof) -> WeightProfile:
     for k in range(n + 1):
         best, first = -math.inf, ()
         for combo in itertools.combinations(items, k):
-            value = weight(ks, measure, combo).value
+            value = weight_by_fractions(ks, measure, combo).value
             if value > best:
                 best, first = value, combo
         values.append(best)
@@ -84,7 +119,7 @@ def profile_exhaustive(ks, measure, proof) -> WeightProfile:
         k
         for k in range(1, n + 1)
         if all(
-            len({ks.by_id[pid].goal for pid in support_ids(ks, combo)}) <= 1
+            len({ks.by_id[pid].goal for pid in support_ids_scan(ks, combo)}) <= 1
             for combo in itertools.combinations(items, k)
         )
     )

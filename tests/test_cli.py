@@ -4,6 +4,7 @@ from pathlib import Path
 from proofinfo.cli import main
 
 DATA = Path(__file__).parent / "data"
+GOLDEN = Path(__file__).parent / "golden"
 FIXTURE = str(DATA / "fixture.json")
 WORLD = str(DATA / "world.json")
 
@@ -175,6 +176,14 @@ def test_profile_all(capsys):
     assert sorted(report["results"]["profiles"]) == [
         "QB1", "QB2", "QB3", "QD1", "QD2", "QD3", "QF1",
     ]
+
+
+def test_profile_all_matches_golden(capsys, monkeypatch):
+    # the report echoes the path as given, so run from the repository root
+    monkeypatch.chdir(Path(__file__).parent.parent)
+    code, out, _ = run(capsys, "profile", "tests/data/fixture.json", "--all")
+    assert code == 0
+    assert out.encode("utf-8") == (GOLDEN / "profile_fixture.json").read_bytes()
 
 
 def test_profile_unknown_proof(capsys):
