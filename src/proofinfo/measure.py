@@ -3,7 +3,9 @@
 All probabilities are exact rationals (fractions.Fraction); floating point
 enters only through logarithms. The measure is fully determined by the
 knowledge system: goals are equiprobable, and within a goal class every
-proof is equiprobable.
+proof is equiprobable. A support is computed on the system's bitset index,
+as the AND of its formulas' proof masks, and its per-goal masses as
+popcounts times integer masses over one common denominator.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import NotADistributionError, UnknownGoalError
-from .model import KnowledgeSystem, _parse_probability
+from .model import _MAX_DIGITS, KnowledgeSystem, _parse_probability, _printable
 
 
 @dataclass(frozen=True)
@@ -55,10 +57,67 @@ def goal_class(ks: KnowledgeSystem, goal: str) -> frozenset[str]:
     return frozenset(ks.classes[goal])
 
 
+def _support_mask(ks: KnowledgeSystem, subset: Iterable[str]) -> int:
+    """Bitmask, over positions in ks.proofs, of the proofs containing `subset`:
+    the AND of its formulas' masks, all proofs for the empty subset."""
+    masks = ks._formula_masks
+    mask = (1 << len(ks.proofs)) - 1
+    for formula in subset:
+        mask &= masks.get(formula, 0)
+    return mask
+
+
+def _mask_ids(ks: KnowledgeSystem, mask: int) -> frozenset[str]:
+    bits = bin(mask)[:1:-1]  # bits[i] is bit i
+    return frozenset(p.id for p, bit in zip(ks.proofs, bits) if bit == "1")
+
+
+def _mass_groups(
+    ks: KnowledgeSystem, measure: ProbabilityMeasure
+) -> tuple[int, tuple[tuple[int, int, int], ...]]:
+    """The per-proof masses as integers over one common denominator L.
+
+    Returns L and one (goal position, mask, n) triple per distinct mass n/L
+    among each goal's proofs, the mask holding the proofs of that goal and
+    mass; proof_measure gives one triple per goal.
+    """
+    masses = [measure.per_proof[p.id] for p in ks.proofs]
+    denominator = math.lcm(*(m.denominator for m in masses))
+    by_goal: dict[str, dict[int, int]] = {g: {} for g in ks.goals}
+    for pos, (p, m) in enumerate(zip(ks.proofs, masses)):
+        groups = by_goal[p.goal]
+        n = m.numerator * (denominator // m.denominator)
+        groups[n] = groups.get(n, 0) | 1 << pos
+    return denominator, tuple(
+        (g, mask, n) for g, groups in enumerate(by_goal.values()) for n, mask in groups.items()
+    )
+
+
+def _goal_masses(
+    ks: KnowledgeSystem, groups: tuple[tuple[int, int, int], ...], mask: int
+) -> list[int]:
+    """Mass of the support `mask` inside each goal class, times L, in goal order."""
+    masses = [0] * len(ks.goals)
+    for g, group, n in groups:
+        masses[g] += (mask & group).bit_count() * n
+    return masses
+
+
+def _support(
+    ks: KnowledgeSystem, mask: int, denominator: int, masses: list[int]
+) -> Support:
+    return Support(
+        proofs=_mask_ids(ks, mask),
+        per_goal_mass=MappingProxyType({
+            g: Fraction(n, denominator) for g, n in zip(ks.goals, masses)
+        }),
+        total_mass=Fraction(sum(masses), denominator),
+    )
+
+
 def support_ids(ks: KnowledgeSystem, subset: Iterable[str]) -> frozenset[str]:
     """Ids of the proofs whose formula set contains every formula of `subset`."""
-    wanted = frozenset(subset)
-    return frozenset(p.id for p in ks.proofs if wanted <= p.formulas)
+    return _mask_ids(ks, _support_mask(ks, subset))
 
 
 def support(
@@ -69,12 +128,9 @@ def support(
     Any subset is legal: the empty set selects every proof, a formula absent
     from all proofs yields an empty support with mass zero.
     """
-    ids = support_ids(ks, subset)
-    per_goal = dict.fromkeys(ks.goals, Fraction(0))
-    for pid in ids:
-        per_goal[ks.by_id[pid].goal] += measure.per_proof[pid]
-    total = sum(per_goal.values(), Fraction(0))
-    return Support(proofs=ids, per_goal_mass=MappingProxyType(per_goal), total_mass=total)
+    mask = _support_mask(ks, subset)
+    denominator, groups = _mass_groups(ks, measure)
+    return _support(ks, mask, denominator, _goal_masses(ks, groups, mask))
 
 
 def shannon_entropy(dist: Iterable[Fraction | int | str]) -> float:
@@ -91,7 +147,8 @@ def shannon_entropy(dist: Iterable[Fraction | int | str]) -> float:
         raise NotADistributionError("probabilities must be nonnegative")
     total = sum(probs, Fraction(0))
     if total != 1:
-        raise NotADistributionError(f"probabilities sum to {total}, not 1")
+        shown = total if _printable(total) else f"a fraction of more than {_MAX_DIGITS} digits"
+        raise NotADistributionError(f"probabilities sum to {shown}, not 1")
     acc = 0.0
     for x in map(float, probs):
         if x > 0:

@@ -81,6 +81,10 @@ class KnowledgeSystem:
       M:        number of goals
 
     Setting or deleting an attribute raises AttributeError.
+
+    The support index is private: _formula_masks maps each formula to the
+    bitmask of the positions in `proofs` of the proofs containing it, and
+    _class_masks holds each goal class's mask, in goal order.
     """
 
     goals: tuple[str, ...]
@@ -89,6 +93,8 @@ class KnowledgeSystem:
     by_id: Mapping[str, Proof]
     classes: Mapping[str, tuple[str, ...]]
     M: int
+    _formula_masks: Mapping[str, int]
+    _class_masks: tuple[int, ...]
 
     def __init__(
         self,
@@ -149,6 +155,10 @@ class KnowledgeSystem:
         for g, members in classes.items():
             if not members:
                 raise UncoveredGoalError(f"goal {g!r} appears in no proof")
+        formula_masks: dict[str, int] = {}
+        for pos, p in enumerate(built):
+            for f in p.formulas:
+                formula_masks[f] = formula_masks.get(f, 0) | 1 << pos
         # bypasses __setattr__, which refuses every later change
         vars(self).update(
             goals=tuple(goal_list),
@@ -157,6 +167,9 @@ class KnowledgeSystem:
             by_id=MappingProxyType({p.id: p for p in built}),
             classes=MappingProxyType(classes),
             M=len(goal_list),
+            _formula_masks=MappingProxyType(formula_masks),
+            # a proof contains a goal exactly when that goal is its own
+            _class_masks=tuple(formula_masks[g] for g in goal_list),
         )
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -270,9 +283,14 @@ def _parse_probability(value: Fraction | int | str) -> Fraction:
     if exponent and len(exponent[1].replace("_", "").lstrip("0")) > 4:
         raise ValueError(f"exponent out of range in {value!r}")
     p = Fraction(value)
-    if max(abs(p.numerator), p.denominator) >= 10**_MAX_DIGITS:
+    if not _printable(p):
         raise ValueError(f"{value!r} needs more than {_MAX_DIGITS} digits")
     return p
+
+
+def _printable(p: Fraction) -> bool:
+    """True iff str(p) stays within the _MAX_DIGITS limit."""
+    return max(abs(p.numerator), p.denominator) < 10**_MAX_DIGITS
 
 
 def load_knowledge_system(path: str | Path) -> KnowledgeSystem:

@@ -11,9 +11,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import AbstractSet, Iterable, Mapping
+from typing import Iterable, Mapping
 
-from .measure import ProbabilityMeasure, support, support_ids
+from .measure import (
+    ProbabilityMeasure,
+    _goal_masses,
+    _mass_groups,
+    _support,
+    _support_mask,
+)
 from .model import KnowledgeSystem
 
 
@@ -35,16 +41,38 @@ class WeightResult:
     total_mass: Fraction
 
 
-def _structural_zero(ks: KnowledgeSystem, ids: AbstractSet[str]) -> bool:
-    """True iff a support is empty or inside one goal class, exactly when its
-    weight is 0. Purely structural; needs no measure and no floating point."""
-    return len({ks.by_id[pid].goal for pid in ids}) <= 1
+def _structural_zero(ks: KnowledgeSystem, mask: int) -> bool:
+    """True iff the support `mask` is empty or inside one goal class, exactly
+    when its weight is 0. Purely structural; needs no measure and no floating
+    point."""
+    hit = False
+    for cls in ks._class_masks:
+        if mask & cls:
+            if hit:
+                return False
+            hit = True
+    return True
+
+
+def _difference_form(masses: list[int], denominator: int) -> float:
+    """sum_g -m_g * log2(m_g) + T * log2(T) for the masses m_g = masses[g] / L
+    in goal order and their total T, with 0*log(0) = 0.
+
+    Each int/int division is correctly rounded, so every term equals the
+    float of the exact Fraction mass."""
+    total = sum(masses) / denominator
+    value = total * math.log2(total)
+    for n in masses:
+        if n:
+            m = n / denominator
+            value -= m * math.log2(m)
+    return value
 
 
 def is_certain(ks: KnowledgeSystem, subset: Iterable[str]) -> bool:
     """True iff the subset's support is nonempty and within one goal class."""
-    ids = support_ids(ks, subset)
-    return bool(ids) and _structural_zero(ks, ids)
+    mask = _support_mask(ks, subset)
+    return mask != 0 and _structural_zero(ks, mask)
 
 
 def weight(
@@ -59,24 +87,19 @@ def weight(
     total. An empty support yields 0 with empty_support set, so a zero is
     never mistaken for certainty.
     """
-    sup = support(ks, measure, subset)
-    empty = not sup.proofs
-    settled = _structural_zero(ks, sup.proofs)
-    if settled:
-        # the two log terms cancel exactly
-        value = 0.0
-    else:
-        value = float(sup.total_mass) * math.log2(sup.total_mass)
-        for g in ks.goals:
-            m = sup.per_goal_mass[g]
-            if m:
-                value -= float(m) * math.log2(m)
+    mask = _support_mask(ks, subset)
+    denominator, groups = _mass_groups(ks, measure)
+    masses = _goal_masses(ks, groups, mask)
+    sup = _support(ks, mask, denominator, masses)
+    settled = _structural_zero(ks, mask)
+    # when settled, the two log terms cancel exactly
+    value = 0.0 if settled else _difference_form(masses, denominator)
     return WeightResult(
         value=value,
         per_goal_terms=sup.per_goal_mass,
         support_size=len(sup.proofs),
-        certain=settled and not empty,
-        empty_support=empty,
+        certain=settled and mask != 0,
+        empty_support=mask == 0,
         support_ids=sup.proofs,
         total_mass=sup.total_mass,
     )

@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+from proofinfo import convergence
 from proofinfo.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -227,6 +228,12 @@ def test_entropy_refuses_entries_past_the_digit_limit(capsys):
     assert err.startswith("error: bad probability")
 
 
+def test_entropy_sum_past_the_digit_limit_exits_2(capsys):
+    code, out, err = run(capsys, "entropy", "--dist", f"1/{'1' * 4000}3,1/{'7' * 4001}")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: probabilities sum to")
+
+
 # ---- check ----------------------------------------------------------------------
 
 def test_check_fixture_all_valid(capsys):
@@ -299,6 +306,20 @@ def test_profile_allow_large_flag(tmp_path, capsys):
     code, report, _ = run_json(capsys, "profile", str(path), "--proof", "BIG", "--allow-large")
     assert code == 0
     assert report["results"]["profiles"]["BIG"]["certainty_threshold"] == 1
+
+
+def test_profile_allow_large_node_budget_exits_2(tmp_path, capsys, monkeypatch):
+    shared = [f"x{i:02d}" for i in range(30)]
+    doc = {
+        "goals": ["g", "h"],
+        "proofs": [{"id": "BIG", "formulas": ["g", *shared]}, {"id": "TWIN", "formulas": ["h", *shared]}],
+    }
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    monkeypatch.setattr(convergence, "MAX_SEARCH_NODES", 1000)
+    code, out, err = run(capsys, "profile", str(path), "--proof", "BIG", "--allow-large")
+    assert (code, out) == (2, "")
+    assert "budget of 1000 subsets (1001 visited)" in err
 
 
 # ---- malformed JSON ---------------------------------------------------------------

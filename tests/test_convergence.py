@@ -6,6 +6,7 @@ import pytest
 
 from proofinfo import (
     KnowledgeSystem,
+    convergence,
     average_speed,
     average_weight,
     certainty_threshold,
@@ -93,6 +94,16 @@ def test_large_proof_guard():
     value, witness = max_subset_weight(ks, m, "P1", 1, allow_large=True)
     assert value == 0.0
     assert len(witness) == 1
+
+
+def test_allow_large_search_stops_at_node_budget(monkeypatch):
+    # both proofs share 30 fillers, so every filler subset weighs 1 bit and
+    # the unpruned search would visit all 2**30 of them
+    shared = [f"x{i:02d}" for i in range(30)]
+    ks = KnowledgeSystem(goals=["g", "h"], proofs=[("P1", ["g", *shared]), ("P2", ["h", *shared])])
+    monkeypatch.setattr(convergence, "MAX_SEARCH_NODES", 1000)
+    with pytest.raises(ProofTooLargeError, match=r"budget of 1000 subsets \(1001 visited\)"):
+        profile(ks, proof_measure(ks), "P1", allow_large=True)
 
 
 def test_fixture_certainty_thresholds(ks):

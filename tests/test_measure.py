@@ -140,5 +140,11 @@ def test_entropy_refuses_huge_exponent():
         shannon_entropy(["1e-999999999", "1"])
 
 
+def test_entropy_sum_past_the_digit_limit_is_not_a_distribution():
+    # each entry has 4001 digits, their sum more than 4300
+    with pytest.raises(NotADistributionError, match="sum to"):
+        shannon_entropy(["1/" + "1" * 4000 + "3", "1/" + "7" * 4001])
+
+
 def test_entropy_entry_below_float_range_adds_zero():
     assert shannon_entropy(["1e-400", "0." + "9" * 400]) == 0.0

@@ -6,12 +6,13 @@ the suite is repeatable and leaves nothing behind.
 """
 
 from fractions import Fraction
+from types import MappingProxyType
 
-from hypothesis import given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import profile_exhaustive, support_by_class_scan
-from proofinfo import profile, proof_measure, support
+from oracles import profile_exhaustive, support_by_class_scan, weight_by_fractions
+from proofinfo import ProbabilityMeasure, profile, proof_measure, support, weight
 from randsys import systems
 
 BOUNDED = settings(derandomize=True, database=None, max_examples=100, deadline=None)
@@ -35,5 +36,38 @@ def test_support_equals_class_scan(ks, data):
 @given(systems(), st.data())
 def test_profile_equals_exhaustive(ks, data):
     measure = proof_measure(ks)
+    proof = data.draw(st.sampled_from(ks.proofs))
+    assert profile(ks, measure, proof) == profile_exhaustive(ks, measure, proof)
+
+
+# Hypothesis 6.155's explain phase fails an internal assertion on this
+# test's failing examples, which then hides the falsifying example
+@settings(BOUNDED, phases=[phase for phase in Phase if phase is not Phase.explain])
+@given(systems(), st.data())
+def test_uneven_measure_equals_oracles(ks, data):
+    # a hand-built measure whose masses differ inside at least one class
+    uneven = [members for members in ks.classes.values() if len(members) > 1]
+    assume(uneven)
+    shares = {p.id: data.draw(st.integers(1, 6)) for p in ks.proofs}
+    first, second = data.draw(st.sampled_from(uneven))[:2]
+    if shares[first] == shares[second]:
+        shares[first] += 1
+    total = sum(shares.values())
+    per_proof = {pid: Fraction(n, total) for pid, n in shares.items()}
+    measure = ProbabilityMeasure(
+        per_proof=MappingProxyType(per_proof),
+        per_goal=MappingProxyType({
+            g: sum((per_proof[pid] for pid in members), Fraction(0))
+            for g, members in ks.classes.items()
+        }),
+    )
+    vocabulary = sorted({f for p in ks.proofs for f in p.formulas} | {"absent"})
+    subset = data.draw(st.lists(st.sampled_from(vocabulary), max_size=4))
+    sup = support(ks, measure, subset)
+    ref = support_by_class_scan(ks, measure, subset)
+    assert sup.proofs == ref.proofs
+    assert list(sup.per_goal_mass.items()) == list(ref.per_goal_mass.items())
+    assert sup.total_mass == ref.total_mass
+    assert weight(ks, measure, subset).value == weight_by_fractions(ks, measure, subset).value
     proof = data.draw(st.sampled_from(ks.proofs))
     assert profile(ks, measure, proof) == profile_exhaustive(ks, measure, proof)
