@@ -20,13 +20,7 @@ from .errors import (
     SizeOutOfRangeError,
     UnknownProofIdError,
 )
-from .measure import (
-    ProbabilityMeasure,
-    _goal_masses,
-    _mass_groups,
-    _support_mask,
-    proof_measure,
-)
+from .measure import ProbabilityMeasure, _goal_masses, _mass_groups, _support_mask, proof_measure
 from .model import KnowledgeSystem, Proof
 from .weight import _difference_form, _structural_zero
 

@@ -103,9 +103,8 @@ def _goal_masses(
     return masses
 
 
-def _support(
-    ks: KnowledgeSystem, mask: int, denominator: int, masses: list[int]
-) -> Support:
+def _support(ks: KnowledgeSystem, mask: int, denominator: int, masses: list[int]) -> Support:
+    """The Support of `mask`, from its per-goal masses times `denominator`."""
     return Support(
         proofs=_mask_ids(ks, mask),
         per_goal_mass=MappingProxyType({

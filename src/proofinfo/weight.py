@@ -13,13 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .measure import (
-    ProbabilityMeasure,
-    _goal_masses,
-    _mass_groups,
-    _support,
-    _support_mask,
-)
+from .measure import ProbabilityMeasure, _goal_masses, _mass_groups, _support, _support_mask
 from .model import KnowledgeSystem
 
 
