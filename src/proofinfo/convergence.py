@@ -20,9 +20,9 @@ from .errors import (
     SizeOutOfRangeError,
     UnknownProofIdError,
 )
-from .measure import ProbabilityMeasure, _goal_masses, _mass_groups, _support_mask, proof_measure
+from .measure import ProbabilityMeasure, _mass_groups, _support_mask, proof_measure
 from .model import KnowledgeSystem, Proof
-from .weight import _difference_form, _structural_zero
+from .weight import _weigh, weight
 
 # Subset search is exponential in the proof size; refuse absurd inputs
 # unless the caller explicitly opts in.
@@ -152,6 +152,13 @@ def profile(
             f"proof {p.id!r} has {n} formulas "
             f"(limit {MAX_PROOF_FORMULAS}); pass allow_large to search anyway"
         )
+    # the full formula set must pin the goal, or no size is ever certain;
+    # checked before the search rather than after it
+    if not weight(ks, measure, p.formulas).certain:
+        raise InternalInvariantViolation(
+            f"no subset size of proof {p.id!r} guarantees certainty; "
+            "the one-goal-per-proof invariant must be broken"
+        )
     items = sorted(p.formulas)
     item_masks = [ks._formula_masks[f] for f in items]
     denominator, groups = _mass_groups(ks, measure)
@@ -169,8 +176,7 @@ def profile(
                 f"subsets ({nodes} visited)"
             )
         size = len(chosen)
-        settled = _structural_zero(ks, mask)
-        value = 0.0 if settled else _difference_form(_goal_masses(ks, groups, mask), denominator)
+        value, settled = _weigh(ks, groups, denominator, mask)
         if value > best[size]:
             best[size], witness[size] = value, tuple(chosen)
         reach = range(size + 1, size + n - start + 1)
@@ -197,11 +203,6 @@ def profile(
     # weighs more than its pruned ancestor, hence more than 0, hence is
     # itself unsettled.
     z = deepest_unsettled + 1
-    if z > n:
-        raise InternalInvariantViolation(
-            f"no subset size of proof {p.id!r} guarantees certainty; "
-            "the one-goal-per-proof invariant must be broken"
-        )
     if z > 1:
         avg_speed = sum(best[i] - best[i + 1] for i in range(1, z)) / (z - 1)
     else:

@@ -63,6 +63,16 @@ def _difference_form(masses: list[int], denominator: int) -> float:
     return value
 
 
+def _weigh(
+    ks: KnowledgeSystem, groups: tuple[tuple[int, int, int], ...], denominator: int, mask: int
+) -> tuple[float, bool]:
+    """Weight of the support `mask` and whether it is a structural zero; when
+    it is, the two log terms cancel exactly and the value is 0.0."""
+    if _structural_zero(ks, mask):
+        return 0.0, True
+    return _difference_form(_goal_masses(ks, groups, mask), denominator), False
+
+
 def is_certain(ks: KnowledgeSystem, subset: Iterable[str]) -> bool:
     """True iff the subset's support is nonempty and within one goal class."""
     mask = _support_mask(ks, subset)
@@ -83,11 +93,8 @@ def weight(
     """
     mask = _support_mask(ks, subset)
     denominator, groups = _mass_groups(ks, measure)
-    masses = _goal_masses(ks, groups, mask)
-    sup = _support(ks, mask, denominator, masses)
-    settled = _structural_zero(ks, mask)
-    # when settled, the two log terms cancel exactly
-    value = 0.0 if settled else _difference_form(masses, denominator)
+    sup = _support(ks, mask, denominator, _goal_masses(ks, groups, mask))
+    value, settled = _weigh(ks, groups, denominator, mask)
     return WeightResult(
         value=value,
         per_goal_terms=sup.per_goal_mass,
