@@ -153,7 +153,7 @@ def profile(
             f"(limit {MAX_PROOF_FORMULAS}); pass allow_large to search anyway"
         )
     # the full formula set must pin the goal, or no size is ever certain;
-    # checked before the search rather than after it
+    # checking it first spares a search that could only end in this error
     if not weight(ks, measure, p.formulas).certain:
         raise InternalInvariantViolation(
             f"no subset size of proof {p.id!r} guarantees certainty; "
