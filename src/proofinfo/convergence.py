@@ -2,11 +2,11 @@
 
 For a proof Q and size k, the interesting number is the worst case: the
 maximum weight over all k-formula subsets of Q (an adversary reveals the
-least informative part first). One pruned depth-first search over the
-subset lattice of Q finds that maximum and its first witness for every k,
-together with the certainty threshold (the smallest k at which every
-k-subset already pins the goal); the two summary averages and the per-size
-and threshold queries are read from its result.
+least informative part first). The certainty threshold z (the smallest k
+at which every k-subset pins the goal) is 1 + max |Q & R| over the proofs R
+of other goals, so every larger subset weighs 0; one pruned depth-first
+search over the subsets of Q smaller than z finds the other maxima and their
+first witnesses, and the averages and per-size queries read its result.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .errors import (
     SizeOutOfRangeError,
     UnknownProofIdError,
 )
-from .measure import ProbabilityMeasure, _mass_groups, _support_mask, proof_measure
+from .measure import ProbabilityMeasure, _mass_groups, _support_mask
 from .model import KnowledgeSystem, Proof
 from .weight import _weigh, weight
 
@@ -28,12 +28,12 @@ from .weight import _weigh, weight
 # unless the caller explicitly opts in.
 MAX_PROOF_FORMULAS = 30
 
-# Subsets an allow_large search may visit before it gives up. A visited
-# subset costs one AND, a popcount per goal and the log terms. When no
-# subset is settled or pruned that is 4.4 us on a 1000-proof, 8-goal system
-# and 8.1 us on a 4000-proof, 16-goal one (2-core Xeon VM, Python 3.11), so
-# a search that reaches the budget ends in about 40 s and 70 s. Every
-# profile of a proof with at most 23 formulas (2**23 subsets) fits.
+# Subsets a search may visit before it gives up. A visited subset costs one
+# AND, a popcount per goal and the log terms. When no subset is settled or
+# pruned that is 4.4 us on a 1000-proof, 8-goal system and 8.1 us on a
+# 4000-proof, 16-goal one (2-core Xeon VM, Python 3.11), so a search that
+# reaches the budget ends in about 40 s and 70 s. Every profile of a proof
+# with at most 23 formulas (2**23 subsets) fits.
 MAX_SEARCH_NODES = 1 << 23
 
 # Pruning bound tolerance. Weight is non-increasing under subset growth, so
@@ -50,7 +50,8 @@ class WeightProfile:
     max_weights[k] is the worst-case weight over size-k subsets, for
     k = 0..len(proof); witnesses[k] is the lexicographically first subset
     attaining it. certainty_threshold is the smallest k with a structural
-    zero across all size-k subsets.
+    zero across all size-k subsets, 1 + the largest overlap with a proof of
+    another goal; every size from it up weighs 0.0.
     """
 
     proof_id: str
@@ -89,17 +90,18 @@ def max_subset_weight(
     return prof.max_weights[size], prof.witnesses[size]
 
 
-def certainty_threshold(
-    ks: KnowledgeSystem, proof: Proof | str, allow_large: bool = False
-) -> int:
+def certainty_threshold(ks: KnowledgeSystem, proof: Proof | str) -> int:
     """Smallest k such that every size-k subset of the proof pins the goal.
 
-    Read from the proof's profile, whose search decides it structurally (set
-    containment), never by float comparison. Always in 1..len(proof): the
-    full formula set is certain because any proof containing it contains its
-    goal and so lies in the same class.
+    A subset S of proof P leaves the goal open iff a proof Q of another goal
+    contains it, that is iff S lies in P & Q, so the threshold is
+    1 + max |P & Q| over those Q, and 1 when there is none. Decided by set
+    structure with no search, so any proof size works. Always in
+    1..len(proof): Q cannot contain P's goal.
     """
-    return profile(ks, proof_measure(ks), proof, allow_large=allow_large).certainty_threshold
+    p = _resolve_proof(ks, proof)
+    others = (len(p.formulas & q.formulas) for q in ks.proofs if q.goal != p.goal)
+    return 1 + max(others, default=0)
 
 
 def average_weight(
@@ -136,13 +138,14 @@ def profile(
 ) -> WeightProfile:
     """Full convergence profile of one proof, from one subset-lattice search.
 
-    Exact branch-and-bound: the subsets of the sorted formula texts are
-    visited in lexicographic preorder, each weighed once on its support
-    bitmask (the parent's mask AND the added formula's), and a subset whose
-    own weight cannot beat the incumbent at any size it can still reach is
-    not extended (weight never increases as a subset grows). Index 0 (the
-    empty subset, weight log2 M) anchors the curve even though the averages
-    start at size 1. With allow_large, a search that visits more than
+    Sizes from the certainty threshold z up weigh 0.0, witnessed by their
+    first subset. Below z, exact branch-and-bound cut at size z - 1: subsets
+    of the sorted formula texts are visited in lexicographic preorder, each
+    weighed once on its support bitmask (the parent's mask AND the added
+    formula's), and one whose weight cannot beat the incumbent at any size
+    below z it can still reach is not extended (weight never increases as a
+    subset grows). Index 0 (the empty subset) anchors the curve; the
+    averages start at size 1. A search that visits more than
     MAX_SEARCH_NODES subsets raises ProofTooLargeError.
     """
     p = _resolve_proof(ks, proof)
@@ -152,25 +155,25 @@ def profile(
             f"proof {p.id!r} has {n} formulas "
             f"(limit {MAX_PROOF_FORMULAS}); pass allow_large to search anyway"
         )
-    # the full formula set must pin the goal, or no size is ever certain;
-    # checking it first spares a search that could only end in this error
+    # the full formula set must pin the goal, or no size is ever certain and
+    # the threshold below would pass the proof's size
     if not weight(ks, measure, p.formulas).certain:
         raise InternalInvariantViolation(
             f"no subset size of proof {p.id!r} guarantees certainty; "
             "the one-goal-per-proof invariant must be broken"
         )
+    z = certainty_threshold(ks, p)
     items = sorted(p.formulas)
     item_masks = [ks._formula_masks[f] for f in items]
     denominator, groups = _mass_groups(ks, measure)
-    best = [-math.inf] * (n + 1)
-    witness: list[tuple[str, ...]] = [()] * (n + 1)
-    deepest_unsettled = 0
+    best = [-math.inf] * z + [0.0] * (n + 1 - z)
+    witness: list[tuple[str, ...]] = [()] * z + [tuple(items[:k]) for k in range(z, n + 1)]
     nodes = 0
 
     def visit(chosen: list[str], start: int, mask: int) -> None:
-        nonlocal deepest_unsettled, nodes
+        nonlocal nodes
         nodes += 1
-        if allow_large and nodes > MAX_SEARCH_NODES:
+        if nodes > MAX_SEARCH_NODES:
             raise ProofTooLargeError(
                 f"search of proof {p.id!r} passed its budget of {MAX_SEARCH_NODES} "
                 f"subsets ({nodes} visited)"
@@ -179,7 +182,7 @@ def profile(
         value, settled = _weigh(ks, groups, denominator, mask)
         if value > best[size]:
             best[size], witness[size] = value, tuple(chosen)
-        reach = range(size + 1, size + n - start + 1)
+        reach = range(size + 1, min(size + n - start + 1, z))
         if settled:
             # settled subtree: every completion keeps weight exactly 0.0, so
             # each size without an incumbent yet takes its lexicographically
@@ -188,7 +191,6 @@ def profile(
                 if best[k] < 0.0:
                     best[k], witness[k] = 0.0, (*chosen, *items[start:start + k - size])
             return
-        deepest_unsettled = max(deepest_unsettled, size)
         if all(value <= best[k] - _PRUNE_MARGIN for k in reach):
             return
         for i in range(start, n):
@@ -197,16 +199,8 @@ def profile(
             chosen.pop()
 
     visit([], 0, _support_mask(ks, ()))
-    # Settled sets are upward-closed, so the threshold is one more than the
-    # largest unsettled size. Pruning keeps that structural: an unsettled
-    # subset is skipped only when, at its size, a visited subset already
-    # weighs more than its pruned ancestor, hence more than 0, hence is
-    # itself unsettled.
-    z = deepest_unsettled + 1
-    if z > 1:
-        avg_speed = sum(best[i] - best[i + 1] for i in range(1, z)) / (z - 1)
-    else:
-        avg_speed = 0.0
+    # a threshold of 1 leaves no step to average, and the speed is 0
+    avg_speed = sum(best[i] - best[i + 1] for i in range(1, z)) / max(z - 1, 1)
     return WeightProfile(
         proof_id=p.id,
         max_weights=tuple(best),

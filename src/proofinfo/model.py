@@ -116,6 +116,10 @@ class KnowledgeSystem:
         goal_set = frozenset(goal_list)
 
         built: list[Proof] = []
+        classes: dict[str, list[str]] = {g: [] for g in goal_list}
+        formula_masks: dict[str, int] = {}
+        # each distinct string once: large systems repeat a few dozen of them
+        normalized: dict[str, str] = {}
         seen_ids: set[str] = set()
         seen_bodies: dict[frozenset[str], str] = {}
         for pid, raw_formulas in proofs:
@@ -127,10 +131,12 @@ class KnowledgeSystem:
 
             listing: list[str] = []
             for pos, raw in enumerate(raw_formulas):
-                try:
-                    text = normalize_formula(raw)
-                except EmptyFormulaError as exc:
-                    raise EmptyFormulaError(f"proof {pid!r}, formulas[{pos}]: {exc}") from exc
+                text = normalized.get(raw) if isinstance(raw, str) else None
+                if text is None:
+                    try:
+                        text = normalized[raw] = normalize_formula(raw)
+                    except EmptyFormulaError as exc:
+                        raise EmptyFormulaError(f"proof {pid!r}, formulas[{pos}]: {exc}") from exc
                 if text not in listing:
                     listing.append(text)
             body = frozenset(listing)
@@ -149,23 +155,21 @@ class KnowledgeSystem:
                     f"proofs {seen_bodies[body]!r} and {pid!r} have identical formula sets"
                 )
             seen_bodies[body] = pid
+            for f in body:
+                formula_masks[f] = formula_masks.get(f, 0) | 1 << len(built)
+            classes[goals_in[0]].append(pid)
             built.append(Proof(id=pid, formulas=body, goal=goals_in[0], listing=tuple(listing)))
 
-        classes = {g: tuple(p.id for p in built if p.goal == g) for g in goal_list}
         for g, members in classes.items():
             if not members:
                 raise UncoveredGoalError(f"goal {g!r} appears in no proof")
-        formula_masks: dict[str, int] = {}
-        for pos, p in enumerate(built):
-            for f in p.formulas:
-                formula_masks[f] = formula_masks.get(f, 0) | 1 << pos
         # bypasses __setattr__, which refuses every later change
         vars(self).update(
             goals=tuple(goal_list),
             goal_set=goal_set,
             proofs=tuple(built),
             by_id=MappingProxyType({p.id: p for p in built}),
-            classes=MappingProxyType(classes),
+            classes=MappingProxyType({g: tuple(members) for g, members in classes.items()}),
             M=len(goal_list),
             _formula_masks=MappingProxyType(formula_masks),
             # a proof contains a goal exactly when that goal is its own

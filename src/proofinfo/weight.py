@@ -50,15 +50,15 @@ def _structural_zero(ks: KnowledgeSystem, mask: int) -> bool:
 
 def _difference_form(masses: list[int], denominator: int) -> float:
     """sum_g -m_g * log2(m_g) + T * log2(T) for the masses m_g = masses[g] / L
-    in goal order and their total T, with 0*log(0) = 0.
+    in goal order and their total T, with 0*log(0) = 0 also for a float 0.
 
     Each int/int division is correctly rounded, so every term equals the
     float of the exact Fraction mass."""
     total = sum(masses) / denominator
-    value = total * math.log2(total)
+    value = total * math.log2(total) if total else 0.0
     for n in masses:
-        if n:
-            m = n / denominator
+        m = n / denominator
+        if m:
             value -= m * math.log2(m)
     return value
 

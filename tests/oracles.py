@@ -39,20 +39,21 @@ def weight_by_fractions(ks, measure, subset) -> WeightResult:
     """Same result as weight(), from support_by_class_scan's Fraction masses.
 
     The difference form sum_g -m_g * log2(m_g) + T * log2(T), term by term
-    in goal order, and exactly 0.0 for a support that is empty or inside one
-    goal class.
+    in goal order with 0*log(0) = 0 (also for a mass whose float is 0), and
+    exactly 0.0 for a support that is empty or inside one goal class.
     """
     sup = support_by_class_scan(ks, measure, subset)
     empty = not sup.proofs
     settled = len({ks.by_id[pid].goal for pid in sup.proofs}) <= 1
-    if settled:
-        value = 0.0
-    else:
-        value = float(sup.total_mass) * math.log2(sup.total_mass)
+    value = 0.0
+    if not settled:
+        total = float(sup.total_mass)
+        if total:
+            value = total * math.log2(total)
         for g in ks.goals:
-            m = sup.per_goal_mass[g]
+            m = float(sup.per_goal_mass[g])
             if m:
-                value -= float(m) * math.log2(m)
+                value -= m * math.log2(m)
     return WeightResult(
         value=value,
         per_goal_terms=sup.per_goal_mass,

@@ -89,8 +89,7 @@ def test_large_proof_guard():
     m = proof_measure(ks)
     with pytest.raises(ProofTooLargeError):
         max_subset_weight(ks, m, "P1", 1)
-    with pytest.raises(ProofTooLargeError):
-        certainty_threshold(ks, "P1")
+    assert certainty_threshold(ks, "P1") == 1
     value, witness = max_subset_weight(ks, m, "P1", 1, allow_large=True)
     assert value == 0.0
     assert len(witness) == 1
@@ -104,6 +103,17 @@ def test_allow_large_search_stops_at_node_budget(monkeypatch):
     monkeypatch.setattr(convergence, "MAX_SEARCH_NODES", 1000)
     with pytest.raises(ProofTooLargeError, match=r"budget of 1000 subsets \(1001 visited\)"):
         profile(ks, proof_measure(ks), "P1", allow_large=True)
+
+
+def test_every_search_stops_at_node_budget(monkeypatch):
+    # 24 shared fillers, under the formula limit: without the budget the
+    # search would visit all 2**24 filler subsets
+    shared = [f"x{i:02d}" for i in range(24)]
+    ks = KnowledgeSystem(goals=["g", "h"], proofs=[("P1", ["g", *shared]), ("P2", ["h", *shared])])
+    monkeypatch.setattr(convergence, "MAX_SEARCH_NODES", 1000)
+    with pytest.raises(ProofTooLargeError, match=r"budget of 1000 subsets \(1001 visited\)"):
+        profile(ks, proof_measure(ks), "P1")
+    assert certainty_threshold(ks, "P1") == 25
 
 
 def test_fixture_certainty_thresholds(ks):

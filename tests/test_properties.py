@@ -12,7 +12,14 @@ from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import profile_exhaustive, support_by_class_scan, weight_by_fractions
-from proofinfo import ProbabilityMeasure, profile, proof_measure, support, weight
+from proofinfo import (
+    ProbabilityMeasure,
+    certainty_threshold,
+    profile,
+    proof_measure,
+    support,
+    weight,
+)
 from randsys import systems
 
 BOUNDED = settings(derandomize=True, database=None, max_examples=100, deadline=None)
@@ -37,7 +44,9 @@ def test_support_equals_class_scan(ks, data):
 def test_profile_equals_exhaustive(ks, data):
     measure = proof_measure(ks)
     proof = data.draw(st.sampled_from(ks.proofs))
-    assert profile(ks, measure, proof) == profile_exhaustive(ks, measure, proof)
+    ref = profile_exhaustive(ks, measure, proof)
+    assert profile(ks, measure, proof) == ref
+    assert certainty_threshold(ks, proof) == ref.certainty_threshold
 
 
 # Hypothesis 6.155's explain phase fails an internal assertion on this
@@ -45,10 +54,11 @@ def test_profile_equals_exhaustive(ks, data):
 @settings(BOUNDED, phases=[phase for phase in Phase if phase is not Phase.explain])
 @given(systems(), st.data())
 def test_uneven_measure_equals_oracles(ks, data):
-    # a hand-built measure whose masses differ inside at least one class
+    # a hand-built measure whose masses differ inside at least one class;
+    # zero-mass proofs are allowed
     uneven = [members for members in ks.classes.values() if len(members) > 1]
     assume(uneven)
-    shares = {p.id: data.draw(st.integers(1, 6)) for p in ks.proofs}
+    shares = {p.id: data.draw(st.integers(0, 6)) for p in ks.proofs}
     first, second = data.draw(st.sampled_from(uneven))[:2]
     if shares[first] == shares[second]:
         shares[first] += 1

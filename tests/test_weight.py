@@ -1,10 +1,11 @@
 import math
 import random
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 
-from proofinfo import is_certain, proof_measure, weight
+from proofinfo import KnowledgeSystem, ProbabilityMeasure, is_certain, proof_measure, weight
 from frozen import (
     DAY_FACT_WEIGHT,
     PAIR_WEIGHT,
@@ -66,6 +67,22 @@ def test_empty_support_flagged_not_certain(ks, measure):
     assert res.empty_support
     assert not res.certain
     assert res.support_size == 0
+
+
+@pytest.mark.parametrize("tiny", [Fraction(0), Fraction(1, 10**400)])
+def test_support_of_float_zero_masses_weighs_zero(tiny):
+    # the support of "a" meets both classes, but every mass in it is 0 as a
+    # float: exactly 0 for tiny == 0, below the float range otherwise
+    ks = KnowledgeSystem(goals=["g", "h"], proofs=[("P1", ["g", "a"]), ("P2", ["h", "a"]), ("P3", ["g"])])
+    per_proof = {"P1": tiny, "P2": tiny, "P3": 1 - 2 * tiny}
+    measure = ProbabilityMeasure(
+        per_proof=MappingProxyType(per_proof),
+        per_goal=MappingProxyType({"g": 1 - tiny, "h": tiny}),
+    )
+    res = weight(ks, measure, ["a"])
+    assert res.value == 0.0
+    assert res.certain is False
+    assert res.empty_support is False
 
 
 def test_is_certain_examples(ks, measure):
