@@ -118,7 +118,8 @@ class KnowledgeSystem:
         built: list[Proof] = []
         classes: dict[str, list[str]] = {g: [] for g in goal_list}
         formula_masks: dict[str, int] = {}
-        # each distinct string once: large systems repeat a few dozen of them
+        # each distinct string once (large systems repeat a few dozen); a
+        # non-string still goes to normalize_formula, whose error it gets
         normalized: dict[str, str] = {}
         seen_ids: set[str] = set()
         seen_bodies: dict[frozenset[str], str] = {}
