@@ -47,6 +47,18 @@ def test_check_fixture_matches_golden(capsys, flags, golden):
     assert results == json.loads((GOLDEN / golden).read_text(encoding="utf-8"))
 
 
+@pytest.mark.parametrize(
+    ("flags", "code", "golden"),
+    [((), 0, "check_report.json"), (("--strict",), 2, "check_report_strict.json")],
+)
+def test_check_report_bytes_match_golden(capsys, monkeypatch, flags, code, golden):
+    # the report names its input paths, so run from the repository root with
+    # the same relative paths the golden files were written with
+    monkeypatch.chdir(DATA.parent.parent)
+    assert main(["check", "tests/data/world.json", "tests/data/fixture.json", *flags]) == code
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
 def user_data(rng: random.Random) -> list:
     """Seeded day facts and broadcasts. Half the draws knock out every
     participant but one through broadcasts deceitful on a fixed day, which
