@@ -9,6 +9,7 @@ violation, 3 I/O or parse failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -206,6 +207,7 @@ def _cmd_check(args: argparse.Namespace) -> tuple[dict, int]:
     return report, EXIT_OK if results["all_valid"] else EXIT_DOMAIN
 
 
+@functools.cache  # parse_args keeps no state, so one parser serves every main() call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="proofinfo",

@@ -556,10 +556,22 @@ def check_proof(
 def check_knowledge_system(
     world: WorldSpec, ks: KnowledgeSystem, strict: bool = False
 ) -> tuple[CheckedProof, ...]:
-    """Parse every proof of a knowledge system as kernel formulas and check it."""
-    goal_forms = {parse_kformula(g, world) for g in ks.goals}
+    """Parse every proof of a knowledge system as kernel formulas and check it.
+
+    Each distinct text is parsed once, in the order of first use, so the
+    first bad formula still raises; steps share the frozen `KFormula`.
+    """
+    parsed: dict[str, KFormula] = {}
+
+    def parse(text: str) -> KFormula:
+        formula = parsed.get(text)
+        if formula is None:
+            formula = parsed[text] = parse_kformula(text, world)
+        return formula
+
+    goal_forms = {parse(g) for g in ks.goals}
     return tuple(
-        check_proof(world, [parse_kformula(t, world) for t in p.listing], goal_forms, p.id, strict)
+        check_proof(world, [parse(t) for t in p.listing], goal_forms, p.id, strict)
         for p in ks.proofs
     )
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring
 from typing import Iterable, Sequence
 
 from . import __version__
@@ -126,7 +127,58 @@ def check_entry(checked: CheckedProof) -> dict:
 # ---------------------------------------------------------------------------
 
 def render_json(report: dict) -> str:
-    return json.dumps(report, ensure_ascii=False, indent=2) + "\n"
+    """The bytes of `json.dumps(report, ensure_ascii=False, indent=2)` plus a newline.
+
+    The standard library encodes indented output with its pure-Python
+    encoder, so this writes the same text directly. Strings go through the
+    same escaping function, every key must be a str, and only floats (and
+    unsupported types, which raise TypeError) fall back to `json.dumps`.
+    """
+    parts: list[str] = []
+    add = parts.append
+
+    def write(value: object, pad: str) -> None:
+        if isinstance(value, str):
+            add(encode_basestring(value))
+        elif isinstance(value, dict):
+            if not value:
+                add("{}")
+                return
+            inner = pad + "  "
+            sep = "{" + inner
+            for key, item in value.items():
+                add(sep)
+                add(encode_basestring(key))
+                add(": ")
+                write(item, inner)
+                sep = "," + inner
+            add(pad)
+            add("}")
+        elif isinstance(value, (list, tuple)):
+            if not value:
+                add("[]")
+                return
+            inner = pad + "  "
+            sep = "[" + inner
+            for item in value:
+                add(sep)
+                write(item, inner)
+                sep = "," + inner
+            add(pad)
+            add("]")
+        elif value is None:
+            add("null")
+        elif value is True:
+            add("true")
+        elif value is False:
+            add("false")
+        elif isinstance(value, int):
+            add(int.__repr__(value))
+        else:
+            add(json.dumps(value))
+
+    write(report, "\n")
+    return "".join(parts) + "\n"
 
 
 def _subset_label(subset: Iterable[str]) -> str:
@@ -206,7 +258,7 @@ def _table_lines(report: dict) -> list[str]:
         return lines
 
     # unknown command: fall back to the JSON body
-    return lines + [json.dumps(results, ensure_ascii=False, indent=2)]
+    return lines + [render_json(results).rstrip("\n")]
 
 
 def render_table(report: dict) -> str:

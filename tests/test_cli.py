@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from proofinfo import convergence
@@ -343,3 +346,28 @@ def test_duplicate_json_key_exits_3(tmp_path, capsys):
     assert code == 3
     assert out == ""
     assert "cannot parse" in err and "duplicate key 'goals'" in err
+
+
+def test_main_calls_in_sequence_match_fresh_runs(tmp_path, capsys):
+    # one parser serves every main() call; no default or flag may carry over
+    subset_file = tmp_path / "subset.txt"
+    subset_file.write_text("Day=Fri\nBrd(R2,Dok)\n", encoding="utf-8")
+    sequence = (
+        ("weight", FIXTURE, "--subset-file", str(subset_file)),
+        ("weight", FIXTURE, "--subset", "Day≠Fri"),
+        ("profile", FIXTURE, "--all"),
+        ("profile", FIXTURE, "--proof", "QB3"),
+    )
+    env = {
+        **os.environ,
+        "PYTHONIOENCODING": "utf-8",
+        "PYTHONPATH": os.pathsep.join(
+            [str(Path(__file__).parent.parent / "src"), os.environ.get("PYTHONPATH", "")]
+        ),
+    }
+    for argv in sequence:
+        code, out, _ = run(capsys, *argv)
+        fresh = subprocess.run(
+            [sys.executable, "-m", "proofinfo", *argv], capture_output=True, env=env, check=False
+        )
+        assert (code, out) == (fresh.returncode, fresh.stdout.decode("utf-8"))

@@ -1,4 +1,10 @@
+import json
+from collections import Counter
+from pathlib import Path
+
 import pytest
+
+from proofinfo import kernel
 
 from proofinfo import (
     brd,
@@ -11,6 +17,7 @@ from proofinfo import (
     is_data,
     not_win,
     parse_kformula,
+    parse_knowledge_system,
     parse_world,
     resolve_reliability,
     win,
@@ -23,6 +30,8 @@ from proofinfo.errors import (
     UnparsableFormulaError,
 )
 from proofinfo.kernel import DECEITFUL, TRUTHFUL, UNKNOWN, WorldSpec
+
+DATA = Path(__file__).parent / "data"
 
 
 # ---- formulas ---------------------------------------------------------------
@@ -152,6 +161,35 @@ def test_strict_mode_requires_explicit_intermediates(world):
     assert not results["QF1"].valid
     for pid in ("QB1", "QB2", "QD1", "QD2", "QD3"):
         assert results[pid].valid
+
+
+def test_check_parses_each_distinct_text_once(monkeypatch):
+    world = parse_world(json.loads((DATA / "world.json").read_text(encoding="utf-8")))
+    ks = parse_knowledge_system(json.loads((DATA / "fixture.json").read_text(encoding="utf-8")))
+    calls = Counter()
+    real = kernel.parse_kformula
+
+    def counting(text, w):
+        calls[text] += 1
+        return real(text, w)
+
+    monkeypatch.setattr(kernel, "parse_kformula", counting)
+    check_knowledge_system(world, ks)
+    texts = set(ks.goals) | {t for p in ks.proofs for t in p.listing}
+    assert calls == Counter(dict.fromkeys(texts, 1))
+
+
+def test_check_raises_for_the_first_bad_formula_in_proof_order(world):
+    # the first bad text sorts after the second, so any reordering shows
+    ks = parse_knowledge_system({"goals": ["Win(Bok)", "Win(Dok)"], "proofs": [
+        {"id": "P1", "formulas": ["Day=Fri", "mystery fact", "Win(Bok)"]},
+        {"id": "P2", "formulas": ["Brd(R9,Dok)", "mystery fact", "Win(Dok)"]},
+    ]})
+    with pytest.raises(UnparsableFormulaError) as first:
+        parse_kformula("mystery fact", world)
+    with pytest.raises(UnparsableFormulaError) as raised:
+        check_knowledge_system(world, ks)
+    assert str(raised.value) == str(first.value)
 
 
 def test_qb3_composite_step_records_implicit_formula(world):

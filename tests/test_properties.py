@@ -1,10 +1,13 @@
-"""Differential properties on Hypothesis-generated systems.
+"""Differential properties on Hypothesis-generated systems and documents.
 
 The package's support and profile are compared with the slow references in
-tests/oracles.py. Runs are derandomized and keep no example database, so
+tests/oracles.py, and the JSON report writer with the standard library's
+indented encoder. Runs are derandomized and keep no example database, so
 the suite is repeatable and leaves nothing behind.
 """
 
+import json
+import math
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -20,6 +23,7 @@ from proofinfo import (
     support,
     weight,
 )
+from proofinfo.report import render_json
 from randsys import systems
 
 BOUNDED = settings(derandomize=True, database=None, max_examples=100, deadline=None)
@@ -81,3 +85,32 @@ def test_uneven_measure_equals_oracles(ks, data):
     assert weight(ks, measure, subset).value == weight_by_fractions(ks, measure, subset).value
     proof = data.draw(st.sampled_from(ks.proofs))
     assert profile(ks, measure, proof) == profile_exhaustive(ks, measure, proof)
+
+
+# control characters and non-BMP characters come with st.characters(); lone
+# surrogates only when asked for
+TEXT = st.text(st.characters() | st.characters(categories=["Cs"]), max_size=8)
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64, max_value=10**300).flatmap(lambda n: st.sampled_from((n, -n)))
+    | st.floats()
+    | st.sampled_from((math.nan, math.inf, -math.inf, -0.0))
+    | TEXT
+)
+DOCUMENTS = st.recursive(
+    SCALARS,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(TEXT, inner, max_size=4)
+    ),
+    max_leaves=24,
+)
+
+
+@BOUNDED
+@given(DOCUMENTS)
+def test_render_json_equals_indented_dumps(doc):
+    assert render_json(doc) == json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
