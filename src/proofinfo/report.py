@@ -136,6 +136,15 @@ def render_json(report: dict) -> str:
     """
     parts: list[str] = []
     add = parts.append
+    # a pad is the newline and indent that close one level; each pad maps to
+    # the next level's pad and the strings that open a dict, open a list and
+    # separate items there, built once per depth rather than per container
+    levels: dict[str, tuple[str, str, str, str]] = {}
+
+    def nest(pad: str) -> tuple[str, str, str, str]:
+        inner = pad + "  "
+        levels[pad] = level = (inner, "{" + inner, "[" + inner, "," + inner)
+        return level
 
     def write(value: object, pad: str) -> None:
         if isinstance(value, str):
@@ -144,26 +153,24 @@ def render_json(report: dict) -> str:
             if not value:
                 add("{}")
                 return
-            inner = pad + "  "
-            sep = "{" + inner
+            inner, sep, _, comma = levels.get(pad) or nest(pad)
             for key, item in value.items():
                 add(sep)
                 add(encode_basestring(key))
                 add(": ")
                 write(item, inner)
-                sep = "," + inner
+                sep = comma
             add(pad)
             add("}")
         elif isinstance(value, (list, tuple)):
             if not value:
                 add("[]")
                 return
-            inner = pad + "  "
-            sep = "[" + inner
+            inner, _, sep, comma = levels.get(pad) or nest(pad)
             for item in value:
                 add(sep)
                 write(item, inner)
-                sep = "," + inner
+                sep = comma
             add(pad)
             add("]")
         elif value is None:
@@ -178,7 +185,8 @@ def render_json(report: dict) -> str:
             add(json.dumps(value))
 
     write(report, "\n")
-    return "".join(parts) + "\n"
+    add("\n")  # joined with the rest instead of appended to a copy
+    return "".join(parts)
 
 
 def _subset_label(subset: Iterable[str]) -> str:
