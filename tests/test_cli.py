@@ -362,7 +362,7 @@ def test_main_calls_in_sequence_match_fresh_runs(tmp_path, capsys):
         **os.environ,
         "PYTHONIOENCODING": "utf-8",
         "PYTHONPATH": os.pathsep.join(
-            [str(Path(__file__).parent.parent / "src"), os.environ.get("PYTHONPATH", "")]
+            filter(None, [str(Path(__file__).parent.parent / "src"), os.environ.get("PYTHONPATH")])
         ),
     }
     for argv in sequence:
