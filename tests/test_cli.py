@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from proofinfo import convergence
 from proofinfo.cli import main
 
@@ -188,6 +190,22 @@ def test_profile_all_matches_golden(capsys, monkeypatch):
     code, out, _ = run(capsys, "profile", "tests/data/fixture.json", "--all")
     assert code == 0
     assert out.encode("utf-8") == (GOLDEN / "profile_fixture.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    ("argv", "code", "golden"),
+    [
+        (("demo",), 0, "demo_table.txt"),
+        (("check", "tests/data/world.json", "tests/data/fixture.json", "--strict"), 2,
+         "check_strict_table.txt"),
+    ],
+)
+def test_table_output_matches_golden(capsys, monkeypatch, argv, code, golden):
+    # the check report names its input paths, so run from the repository root
+    monkeypatch.chdir(Path(__file__).parent.parent)
+    got, out, _ = run(capsys, *argv, "--format", "table")
+    assert got == code
+    assert out.encode("utf-8") == (GOLDEN / golden).read_bytes()
 
 
 def test_profile_unknown_proof(capsys):
