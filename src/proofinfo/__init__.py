@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 from . import errors
 from .convergence import (
-    MAX_PROOF_FORMULAS,
     WeightProfile,
     average_speed,
     average_weight,
@@ -86,7 +85,6 @@ __all__ = [
     "is_certain",
     "weight",
     # convergence
-    "MAX_PROOF_FORMULAS",
     "WeightProfile",
     "average_speed",
     "average_weight",

@@ -155,7 +155,7 @@ def _cmd_profile(args: argparse.Namespace) -> tuple[dict, int]:
     profiles = {}
     for pid in ids:
         try:
-            profiles[pid] = profile_entry(ks, measure, pid, allow_large=args.allow_large)
+            profiles[pid] = profile_entry(ks, measure, pid)
         except (UnknownProofIdError, ProofTooLargeError) as exc:
             raise _Fail(EXIT_DOMAIN, str(exc)) from exc
     arguments = {"path": args.path, "proofs": ids}
@@ -244,10 +244,6 @@ def _build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--proof", help="proof id")
     group.add_argument("--all", action="store_true", help="profile every proof")
-    p.add_argument(
-        "--allow-large", action="store_true",
-        help="search proofs larger than the 30-formula guard",
-    )
     add_format(p)
     p.set_defaults(handler=_cmd_profile)
 

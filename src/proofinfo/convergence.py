@@ -4,9 +4,9 @@ For a proof Q and size k, the interesting number is the worst case: the
 maximum weight over all k-formula subsets of Q (an adversary reveals the
 least informative part first). The certainty threshold z (the smallest k
 at which every k-subset pins the goal) is 1 + max |Q & R| over the proofs R
-of other goals, so every larger subset weighs 0; one pruned depth-first
-search over the subsets of Q smaller than z finds the other maxima and their
-first witnesses, and the averages and per-size queries read its result.
+of other goals, so every larger subset weighs 0. One pruned depth-first
+search over the smaller subsets of Q, bounded only by MAX_SEARCH_NODES, finds
+the other maxima and first witnesses; the averages and size queries read it.
 """
 
 from __future__ import annotations
@@ -23,10 +23,6 @@ from .errors import (
 from .measure import ProbabilityMeasure, _mass_groups, _support_mask
 from .model import KnowledgeSystem, Proof
 from .weight import _weigh, weight
-
-# Subset search is exponential in the proof size; refuse absurd inputs
-# unless the caller explicitly opts in.
-MAX_PROOF_FORMULAS = 30
 
 # Subsets a search may visit before it gives up. A visited subset costs one
 # AND, a popcount per goal and the log terms. When no subset is settled or
@@ -75,7 +71,6 @@ def max_subset_weight(
     measure: ProbabilityMeasure,
     proof: Proof | str,
     size: int,
-    allow_large: bool = False,
 ) -> tuple[float, tuple[str, ...]]:
     """Worst-case weight over all subsets of the proof with exactly `size` formulas.
 
@@ -86,7 +81,7 @@ def max_subset_weight(
     n = len(p.formulas)
     if not 0 <= size <= n:
         raise SizeOutOfRangeError(f"size {size} outside 0..{n} for proof {p.id!r}")
-    prof = profile(ks, measure, p, allow_large=allow_large)
+    prof = profile(ks, measure, p)
     return prof.max_weights[size], prof.witnesses[size]
 
 
@@ -108,17 +103,15 @@ def average_weight(
     ks: KnowledgeSystem,
     measure: ProbabilityMeasure,
     proof: Proof | str,
-    allow_large: bool = False,
 ) -> float:
     """Mean worst-case weight over subset sizes 1..len(proof)."""
-    return profile(ks, measure, proof, allow_large=allow_large).average_weight
+    return profile(ks, measure, proof).average_weight
 
 
 def average_speed(
     ks: KnowledgeSystem,
     measure: ProbabilityMeasure,
     proof: Proof | str,
-    allow_large: bool = False,
 ) -> float:
     """Mean per-step drop of the worst-case weight up to the certainty threshold.
 
@@ -127,14 +120,13 @@ def average_speed(
     the tests). A threshold of 1 means the proof is certain from its first
     formula; there is no step to average over, so the speed is defined as 0.
     """
-    return profile(ks, measure, proof, allow_large=allow_large).average_speed
+    return profile(ks, measure, proof).average_speed
 
 
 def profile(
     ks: KnowledgeSystem,
     measure: ProbabilityMeasure,
     proof: Proof | str,
-    allow_large: bool = False,
 ) -> WeightProfile:
     """Full convergence profile of one proof, from one subset-lattice search.
 
@@ -145,16 +137,11 @@ def profile(
     formula's), and one whose weight cannot beat the incumbent at any size
     below z it can still reach is not extended (weight never increases as a
     subset grows). Index 0 (the empty subset) anchors the curve; the
-    averages start at size 1. A search that visits more than
-    MAX_SEARCH_NODES subsets raises ProofTooLargeError.
+    averages start at size 1. The node budget is the one bound, for any proof
+    size: visiting over MAX_SEARCH_NODES subsets raises ProofTooLargeError.
     """
     p = _resolve_proof(ks, proof)
     n = len(p.formulas)
-    if n > MAX_PROOF_FORMULAS and not allow_large:
-        raise ProofTooLargeError(
-            f"proof {p.id!r} has {n} formulas "
-            f"(limit {MAX_PROOF_FORMULAS}); pass allow_large to search anyway"
-        )
     # the full formula set must pin the goal, or no size is ever certain and
     # the threshold below would pass the proof's size
     if not weight(ks, measure, p.formulas).certain:

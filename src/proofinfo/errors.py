@@ -59,7 +59,7 @@ class SizeOutOfRangeError(ProofInfoError):
 
 
 class ProofTooLargeError(ProofInfoError):
-    """A proof exceeds the subset-search size guard and no override was given."""
+    """A proof's subset search visited more subsets than its node budget allows."""
 
 
 class InternalInvariantViolation(ProofInfoError):

@@ -88,9 +88,8 @@ def profile_entry(
     ks: KnowledgeSystem,
     measure: ProbabilityMeasure,
     proof_id: str,
-    allow_large: bool = False,
 ) -> dict:
-    prof = profile(ks, measure, proof_id, allow_large=allow_large)
+    prof = profile(ks, measure, proof_id)
     return {
         "formula_count": len(ks.by_id[proof_id].formulas),
         "max_weights": [fmt_bits(v) for v in prof.max_weights],

@@ -314,22 +314,25 @@ def test_check_table_format(capsys):
     assert "TruthfulBroadcast" in out
 
 
-def test_profile_allow_large_flag(tmp_path, capsys):
+def test_profile_large_proof_needs_no_flag(tmp_path, capsys):
     doc = {
         "goals": ["g"],
         "proofs": [{"id": "BIG", "formulas": ["g"] + [f"x{i}" for i in range(31)]}],
     }
     path = tmp_path / "big.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    code, _, err = run(capsys, "profile", str(path), "--proof", "BIG")
-    assert code == 2
-    assert "BIG" in err
-    code, report, _ = run_json(capsys, "profile", str(path), "--proof", "BIG", "--allow-large")
+    code, report, _ = run_json(capsys, "profile", str(path), "--proof", "BIG")
     assert code == 0
     assert report["results"]["profiles"]["BIG"]["certainty_threshold"] == 1
+    # profile has no option starting with --allow, so argparse cannot read
+    # this as the abbreviation of one and stops with a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["profile", str(path), "--proof", "BIG", "--allow"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --allow" in capsys.readouterr().err
 
 
-def test_profile_allow_large_node_budget_exits_2(tmp_path, capsys, monkeypatch):
+def test_profile_node_budget_exits_2(tmp_path, capsys, monkeypatch):
     shared = [f"x{i:02d}" for i in range(30)]
     doc = {
         "goals": ["g", "h"],
@@ -338,7 +341,7 @@ def test_profile_allow_large_node_budget_exits_2(tmp_path, capsys, monkeypatch):
     path = tmp_path / "big.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     monkeypatch.setattr(convergence, "MAX_SEARCH_NODES", 1000)
-    code, out, err = run(capsys, "profile", str(path), "--proof", "BIG", "--allow-large")
+    code, out, err = run(capsys, "profile", str(path), "--proof", "BIG")
     assert (code, out) == (2, "")
     assert "budget of 1000 subsets (1001 visited)" in err
 

@@ -4,8 +4,8 @@ Every invocation of validate, weight, profile, entropy and check must exit
 0, 2 or 3 (argparse's usage error, SystemExit(2), is the one exception
 allowed to escape main), and a second run must write the same stdout bytes.
 Stdout is a strict UTF-8 stream, as on a UTF-8 terminal. Runs are
-derandomized and keep no example database; proofs stay at most 12 formulas
-so profile never needs --allow-large.
+derandomized and keep no example database; proofs stay at most 12 formulas,
+so a profile search stays far inside its 2^23-subset budget.
 """
 
 import io

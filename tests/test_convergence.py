@@ -84,36 +84,26 @@ def test_unknown_proof_id(ks, measure):
 
 
 def test_large_proof_guard():
+    # no formula count limits a search: with no other goal the threshold is
+    # 1, so a 31-formula proof profiles at once
     big = [f"x{i}" for i in range(31)]
     ks = KnowledgeSystem(goals=["g"], proofs=[("P1", ["g", *big])])
-    m = proof_measure(ks)
-    with pytest.raises(ProofTooLargeError):
-        max_subset_weight(ks, m, "P1", 1)
+    assert max_subset_weight(ks, proof_measure(ks), "P1", 1) == (0.0, ("g",))
     assert certainty_threshold(ks, "P1") == 1
-    value, witness = max_subset_weight(ks, m, "P1", 1, allow_large=True)
-    assert value == 0.0
-    assert len(witness) == 1
-
-
-def test_allow_large_search_stops_at_node_budget(monkeypatch):
-    # both proofs share 30 fillers, so every filler subset weighs 1 bit and
-    # the unpruned search would visit all 2**30 of them
-    shared = [f"x{i:02d}" for i in range(30)]
-    ks = KnowledgeSystem(goals=["g", "h"], proofs=[("P1", ["g", *shared]), ("P2", ["h", *shared])])
-    monkeypatch.setattr(convergence, "MAX_SEARCH_NODES", 1000)
-    with pytest.raises(ProofTooLargeError, match=r"budget of 1000 subsets \(1001 visited\)"):
-        profile(ks, proof_measure(ks), "P1", allow_large=True)
 
 
 def test_every_search_stops_at_node_budget(monkeypatch):
-    # 24 shared fillers, under the formula limit: without the budget the
-    # search would visit all 2**24 filler subsets
-    shared = [f"x{i:02d}" for i in range(24)]
-    ks = KnowledgeSystem(goals=["g", "h"], proofs=[("P1", ["g", *shared]), ("P2", ["h", *shared])])
+    # both proofs share the fillers, so every filler subset weighs 1 bit and
+    # the unpruned search would visit all 2**24 or 2**30 of them
     monkeypatch.setattr(convergence, "MAX_SEARCH_NODES", 1000)
-    with pytest.raises(ProofTooLargeError, match=r"budget of 1000 subsets \(1001 visited\)"):
-        profile(ks, proof_measure(ks), "P1")
-    assert certainty_threshold(ks, "P1") == 25
+    for fillers in (24, 30):
+        shared = [f"x{i:02d}" for i in range(fillers)]
+        ks = KnowledgeSystem(
+            goals=["g", "h"], proofs=[("P1", ["g", *shared]), ("P2", ["h", *shared])]
+        )
+        with pytest.raises(ProofTooLargeError, match=r"budget of 1000 subsets \(1001 visited\)"):
+            profile(ks, proof_measure(ks), "P1")
+        assert certainty_threshold(ks, "P1") == fillers + 1
 
 
 def test_fixture_certainty_thresholds(ks):
