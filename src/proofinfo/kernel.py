@@ -69,6 +69,8 @@ class WorldSpec:
     def __post_init__(self) -> None:
         if len(set(self.participants)) < 2:
             raise MalformedDocumentError("a world needs at least two distinct participants")
+        if len(set(self.participants)) != len(self.participants):
+            raise MalformedDocumentError("participants must be distinct names")
         if len(set(self.day_domain)) != len(self.day_domain) or not self.day_domain:
             raise MalformedDocumentError("day domain must be a non-empty set of distinct names")
         if not self.truthful_days:

@@ -98,6 +98,16 @@ def test_validate_duplicate_body(tmp_path, capsys):
     assert report["results"]["violations"][0]["code"] == "DuplicateProofBody"
 
 
+def test_validate_reports_malformed_proofs(tmp_path, capsys):
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps({"goals": ["g"], "proofs": {}}), encoding="utf-8")
+    code, report, _ = run_json(capsys, "validate", str(path))
+    assert code == 2
+    assert report["results"]["violations"] == [
+        {"code": "MalformedDocument", "message": "'proofs' must be an array"},
+    ]
+
+
 def test_validate_missing_file(capsys):
     code, out, err = run(capsys, "validate", "/nonexistent/nope.json")
     assert code == 3
@@ -294,6 +304,16 @@ def test_check_malformed_world_exits_3(tmp_path, capsys):
     path.write_text(json.dumps({"participants": ["A", "B"]}), encoding="utf-8")
     code, _, err = run(capsys, "check", str(path), FIXTURE)
     assert code == 3
+
+
+def test_check_world_with_repeated_participant_exits_3(tmp_path, capsys):
+    doc = {"participants": ["Bok", "Bok", "Dok"], "day_domain": ["Fri"],
+           "sources": {"R1": "always_truthful"}}
+    path = tmp_path / "world.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "check", str(path), FIXTURE)
+    assert (code, out) == (3, "")
+    assert err == "error: bad world document: participants must be distinct names\n"
 
 
 def test_check_unparsable_proof_formula_exits_3(tmp_path, capsys):

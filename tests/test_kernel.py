@@ -69,6 +69,35 @@ def test_parse_rejects_garbage(world):
         parse_kformula("Win(Bok)∨Day=Fri", world)
 
 
+@pytest.mark.parametrize(
+    ("text", "message"),
+    [
+        ("Win(Bok)∨Win(Zok)", "unknown participant 'Zok' in 'Win(Bok)∨Win(Zok)'"),
+        ("Brd(R1,Zok)", "unknown participant 'Zok' in 'Brd(R1,Zok)'"),
+        ("¬Win(Zok)", "unknown participant 'Zok' in '¬Win(Zok)'"),
+        ("Day≠Tue", "unknown day 'Tue' in 'Day≠Tue'"),
+    ],
+)
+def test_parse_kformula_name_checks(world, text, message):
+    with pytest.raises(UnknownNameError) as exc:
+        parse_kformula(text, world)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    ("facts", "message"),
+    [
+        ((day_is("Fri"), day_is("Other")), "conflicting day facts: ['Fri', 'Other']"),
+        ((day_is("Fri"), day_not("Fri")), "day 'Fri' both asserted and excluded"),
+        ((day_not("Fri"), day_not("Other")), "day facts exclude every day in the domain"),
+    ],
+)
+def test_day_context_checks(world, facts, message):
+    with pytest.raises(InconsistentDayContextError) as exc:
+        resolve_reliability(world, "R2", facts)
+    assert str(exc.value) == message
+
+
 def test_disjunction_factory_collapses_singleton():
     assert win_disj({"Bok"}) == win("Bok")
     with pytest.raises(ValueError):
@@ -128,6 +157,39 @@ def test_world_needs_two_participants():
 def test_world_rejects_stray_schedule_days():
     with pytest.raises(UnknownNameError):
         WorldSpec(("A", "B"), ("Fri",), {"R1": frozenset({"Tue"})})
+
+
+def _world(**changes):
+    doc = {"participants": ["Bok", "Dok"], "day_domain": ["Fri"], "sources": {"R1": "always_truthful"}}
+    return {**doc, **changes}
+
+
+@pytest.mark.parametrize(
+    ("document", "message"),
+    [
+        (["not", "an", "object"], "top level must be an object"),
+        (_world(participants="Bok"), "'participants' must be an array of strings"),
+        (_world(participants=["Bok", 1]), "'participants' must be an array of strings"),
+        (_world(participants=["Bok", "Bok", "Dok"]), "participants must be distinct names"),
+        (_world(day_domain="Fri"), "'day_domain' must be an array of strings"),
+        (_world(day_domain=[None]), "'day_domain' must be an array of strings"),
+        (_world(sources=[]), "'sources' must be an object"),
+        (_world(sources={"R1": {"truthful_on": "Fri"}}),
+         "source 'R1': 'truthful_on' must be an array of day names"),
+        (_world(sources={}), "a world needs at least one source"),
+    ],
+)
+def test_parse_world_input_checks(document, message):
+    with pytest.raises(MalformedDocumentError) as exc:
+        parse_world(document)
+    assert str(exc.value) == message
+
+
+def test_world_rejects_repeated_participants():
+    # a repeated name would make the chainer list every proof about that
+    # participant twice
+    with pytest.raises(MalformedDocumentError, match="participants must be distinct names"):
+        WorldSpec(("Bok", "Bok", "Dok"), ("Fri",), {"R1": frozenset({"Fri"})})
 
 
 def test_resolve_reliability(world):

@@ -165,6 +165,32 @@ def test_duplicate_goal_rejected():
         parse_knowledge_system({"goals": ["g", "g"], "proofs": [{"id": "P1", "formulas": ["g"]}]})
 
 
+def _proofs(*entries):
+    return {"goals": ["g"], "proofs": list(entries)}
+
+
+@pytest.mark.parametrize(
+    ("document", "message"),
+    [
+        ({"goals": "g", "proofs": []}, "'goals' must be an array of strings"),
+        ({"goals": ["g", 1], "proofs": []}, "'goals' must be an array of strings"),
+        ({"goals": ["g"], "proofs": {}}, "'proofs' must be an array"),
+        (_proofs("P1"), "proofs[0] must be an object"),
+        (_proofs({"formulas": ["g"]}), "proofs[0]: needs exactly 'id' and 'formulas'"),
+        (_proofs({"id": "P1"}), "proofs[0]: needs exactly 'id' and 'formulas'"),
+        (_proofs({"id": 1, "formulas": ["g"]}), "proofs[0]: 'id' must be a string"),
+        (_proofs({"id": "P1", "formulas": "g"}), "proofs[0]: 'formulas' must be an array of strings"),
+        (_proofs({"id": "P1", "formulas": ["g", 2]}),
+         "proofs[0]: 'formulas' must be an array of strings"),
+        ({"goals": [], "proofs": []}, "a knowledge system needs at least one goal"),
+    ],
+)
+def test_parse_knowledge_system_input_checks(document, message):
+    with pytest.raises(MalformedDocumentError) as exc:
+        parse_knowledge_system(document)
+    assert str(exc.value) == message
+
+
 def test_fixture_validates_cleanly():
     # the shipped example must satisfy its own invariants
     ks = builtin_example()
