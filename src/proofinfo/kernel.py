@@ -168,6 +168,10 @@ class KFormula:
     participants: frozenset[str] = frozenset()
 
     def text(self) -> str:
+        return self._text
+
+    @functools.cached_property  # stored in the instance dict, outside the fields
+    def _text(self) -> str:
         if self.kind == "day_is":
             return f"Day={self.day}"
         if self.kind == "day_not":

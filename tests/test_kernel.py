@@ -98,6 +98,14 @@ def test_day_context_checks(world, facts, message):
     assert str(exc.value) == message
 
 
+def test_formula_text_is_built_once():
+    f = win_disj({"Fok", "Bok"})
+    assert f.text() is f.text() == "Win(Bok)∨Win(Fok)"
+    # the stored text is not a field: equality and hashing ignore it
+    g = win_disj({"Bok", "Fok"})
+    assert f == g and hash(f) == hash(g)
+
+
 def test_disjunction_factory_collapses_singleton():
     assert win_disj({"Bok"}) == win("Bok")
     with pytest.raises(ValueError):
