@@ -92,18 +92,27 @@ def test_large_proof_guard():
     assert certainty_threshold(ks, "P1") == 1
 
 
-def test_every_search_stops_at_node_budget(monkeypatch):
-    # both proofs share the fillers, so every filler subset weighs 1 bit and
-    # the unpruned search would visit all 2**24 or 2**30 of them
+def test_allow_large_search_stops_at_node_budget(monkeypatch):
+    # both proofs share 30 fillers, so every filler subset weighs 1 bit and
+    # the unpruned search would visit all 2**30 of them; no option is needed
+    # for a proof this large, the node budget alone stops the search
+    shared = [f"x{i:02d}" for i in range(30)]
+    ks = KnowledgeSystem(goals=["g", "h"], proofs=[("P1", ["g", *shared]), ("P2", ["h", *shared])])
     monkeypatch.setattr(convergence, "MAX_SEARCH_NODES", 1000)
-    for fillers in (24, 30):
-        shared = [f"x{i:02d}" for i in range(fillers)]
-        ks = KnowledgeSystem(
-            goals=["g", "h"], proofs=[("P1", ["g", *shared]), ("P2", ["h", *shared])]
-        )
-        with pytest.raises(ProofTooLargeError, match=r"budget of 1000 subsets \(1001 visited\)"):
-            profile(ks, proof_measure(ks), "P1")
-        assert certainty_threshold(ks, "P1") == fillers + 1
+    with pytest.raises(ProofTooLargeError, match=r"budget of 1000 subsets \(1001 visited\)"):
+        profile(ks, proof_measure(ks), "P1")
+    assert certainty_threshold(ks, "P1") == 31
+
+
+def test_every_search_stops_at_node_budget(monkeypatch):
+    # 24 shared fillers: without the budget the search would visit all
+    # 2**24 filler subsets
+    shared = [f"x{i:02d}" for i in range(24)]
+    ks = KnowledgeSystem(goals=["g", "h"], proofs=[("P1", ["g", *shared]), ("P2", ["h", *shared])])
+    monkeypatch.setattr(convergence, "MAX_SEARCH_NODES", 1000)
+    with pytest.raises(ProofTooLargeError, match=r"budget of 1000 subsets \(1001 visited\)"):
+        profile(ks, proof_measure(ks), "P1")
+    assert certainty_threshold(ks, "P1") == 25
 
 
 def test_fixture_certainty_thresholds(ks):
