@@ -29,7 +29,8 @@ from .weight import _weigh, weight
 # pruned that is 4.4 us on a 1000-proof, 8-goal system and 8.1 us on a
 # 4000-proof, 16-goal one (2-core Xeon VM, Python 3.11), so a search that
 # reaches the budget ends in about 40 s and 70 s. Every profile of a proof
-# with at most 23 formulas (2**23 subsets) fits.
+# with at most 23 formulas (2**23 subsets) fits. It also caps the n(n+1)/2
+# witness formulas of an n-formula profile: over 4095 formulas are refused.
 MAX_SEARCH_NODES = 1 << 23
 
 # Pruning bound tolerance. Weight is non-increasing under subset growth, so
@@ -137,11 +138,17 @@ def profile(
     formula's), and one whose weight cannot beat the incumbent at any size
     below z it can still reach is not extended (weight never increases as a
     subset grows). Index 0 (the empty subset) anchors the curve; the
-    averages start at size 1. The node budget is the one bound, for any proof
-    size: visiting over MAX_SEARCH_NODES subsets raises ProofTooLargeError.
+    averages start at size 1. The node budget is the one bound: over
+    MAX_SEARCH_NODES witness formulas or visited subsets raise ProofTooLargeError.
     """
     p = _resolve_proof(ks, proof)
     n = len(p.formulas)
+    # one witness of k formulas per size k, charged to the same budget
+    if n * (n + 1) // 2 > MAX_SEARCH_NODES:
+        raise ProofTooLargeError(
+            f"witnesses of proof {p.id!r} would hold {n * (n + 1) // 2} formulas, "
+            f"over the budget of {MAX_SEARCH_NODES}"
+        )
     # the full formula set must pin the goal, or no size is ever certain and
     # the threshold below would pass the proof's size
     if not weight(ks, measure, p.formulas).certain:
@@ -155,20 +162,22 @@ def profile(
     denominator, groups = _mass_groups(ks, measure)
     best = [-math.inf] * z + [0.0] * (n + 1 - z)
     witness: list[tuple[str, ...]] = [()] * z + [tuple(items[:k]) for k in range(z, n + 1)]
+    # the visited subset is items[i] for i in path, and masks[d] is the support
+    # mask of its first d formulas (a loop, not recursion, so any depth works)
+    path: list[int] = []
+    masks = [_support_mask(ks, ())]
     nodes = 0
-
-    def visit(chosen: list[str], start: int, mask: int) -> None:
-        nonlocal nodes
+    while True:
         nodes += 1
         if nodes > MAX_SEARCH_NODES:
             raise ProofTooLargeError(
                 f"search of proof {p.id!r} passed its budget of {MAX_SEARCH_NODES} "
                 f"subsets ({nodes} visited)"
             )
-        size = len(chosen)
-        value, settled = _weigh(ks, groups, denominator, mask)
+        size, start = len(path), (path[-1] + 1 if path else 0)
+        value, settled = _weigh(ks, groups, denominator, masks[-1])
         if value > best[size]:
-            best[size], witness[size] = value, tuple(chosen)
+            best[size], witness[size] = value, tuple(items[i] for i in path)
         reach = range(size + 1, min(size + n - start + 1, z))
         if settled:
             # settled subtree: every completion keeps weight exactly 0.0, so
@@ -176,16 +185,20 @@ def profile(
             # first completion (preserves tie order) and the rest is skipped
             for k in reach:
                 if best[k] < 0.0:
-                    best[k], witness[k] = 0.0, (*chosen, *items[start:start + k - size])
-            return
-        if all(value <= best[k] - _PRUNE_MARGIN for k in reach):
-            return
-        for i in range(start, n):
-            chosen.append(items[i])
-            visit(chosen, i + 1, mask & item_masks[i])
-            chosen.pop()
-
-    visit([], 0, _support_mask(ks, ()))
+                    best[k] = 0.0
+                    witness[k] = (*(items[i] for i in path), *items[start:start + k - size])
+        elif not all(value <= best[k] - _PRUNE_MARGIN for k in reach):
+            path.append(start)
+            masks.append(masks[-1] & item_masks[start])
+            continue
+        # subtree done: go on to the next sibling of the deepest subset with one
+        while path and path[-1] == n - 1:
+            path.pop()
+            masks.pop()
+        if not path:
+            break
+        path[-1] += 1
+        masks[-1] = masks[-2] & item_masks[path[-1]]
     # a threshold of 1 leaves no step to average, and the speed is 0
     avg_speed = sum(best[i] - best[i + 1] for i in range(1, z)) / max(z - 1, 1)
     return WeightProfile(

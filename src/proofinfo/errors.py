@@ -59,7 +59,7 @@ class SizeOutOfRangeError(ProofInfoError):
 
 
 class ProofTooLargeError(ProofInfoError):
-    """A proof's subset search visited more subsets than its node budget allows."""
+    """A proof's subset search, or its table of witnesses, passed the node budget."""
 
 
 class InternalInvariantViolation(ProofInfoError):

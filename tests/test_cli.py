@@ -344,12 +344,12 @@ def test_profile_large_proof_needs_no_flag(tmp_path, capsys):
     code, report, _ = run_json(capsys, "profile", str(path), "--proof", "BIG")
     assert code == 0
     assert report["results"]["profiles"]["BIG"]["certainty_threshold"] == 1
-    # profile has no option starting with --allow, so argparse cannot read
-    # this as the abbreviation of one and stops with a usage error
+    # the removed opt-out flag is now an unknown option: a usage error
+    flag = "--allow" + "-large"
     with pytest.raises(SystemExit) as exc:
-        main(["profile", str(path), "--proof", "BIG", "--allow"])
+        main(["profile", str(path), "--proof", "BIG", flag])
     assert exc.value.code == 2
-    assert "unrecognized arguments: --allow" in capsys.readouterr().err
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_profile_node_budget_exits_2(tmp_path, capsys, monkeypatch):
@@ -364,6 +364,34 @@ def test_profile_node_budget_exits_2(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, "profile", str(path), "--proof", "BIG")
     assert (code, out) == (2, "")
     assert "budget of 1000 subsets (1001 visited)" in err
+
+
+def test_profile_deep_search_exits_2(tmp_path, capsys, monkeypatch):
+    # 1100 shared fillers put the certainty threshold at 1101, so the search
+    # goes 1100 subsets deep, past Python's default recursion limit, before
+    # its budget runs out; the budget just fits the witness table
+    shared = [f"x{i:04d}" for i in range(1100)]
+    doc = {
+        "goals": ["g", "h"],
+        "proofs": [{"id": "BIG", "formulas": ["g", *shared]}, {"id": "TWIN", "formulas": ["h", *shared]}],
+    }
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    monkeypatch.setattr(convergence, "MAX_SEARCH_NODES", 1101 * 1102 // 2)
+    code, out, err = run(capsys, "profile", str(path), "--proof", "BIG")
+    assert (code, out) == (2, "")
+    assert "budget of 606651 subsets (606652 visited)" in err
+    assert "Traceback" not in err
+
+
+def test_profile_witness_table_over_budget_exits_2(tmp_path, capsys):
+    # 4096 formulas need 4096 * 4097 / 2 witness formulas, over 2**23
+    doc = {"goals": ["g"], "proofs": [{"id": "BIG", "formulas": ["g"] + [f"x{i}" for i in range(4095)]}]}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "profile", str(path), "--proof", "BIG")
+    assert (code, out) == (2, "")
+    assert "would hold 8390656 formulas, over the budget of 8388608" in err
 
 
 # ---- malformed JSON ---------------------------------------------------------------

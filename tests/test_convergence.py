@@ -115,6 +115,17 @@ def test_every_search_stops_at_node_budget(monkeypatch):
     assert certainty_threshold(ks, "P1") == 25
 
 
+def test_witness_table_is_charged_to_the_node_budget(monkeypatch):
+    # n formulas need n(n+1)/2 witness formulas: 990 for 44 fit a budget of
+    # 1000, 1035 for 45 do not
+    monkeypatch.setattr(convergence, "MAX_SEARCH_NODES", 1000)
+    fits = KnowledgeSystem(goals=["g"], proofs=[("P1", ["g", *(f"x{i:02d}" for i in range(43))])])
+    assert profile(fits, proof_measure(fits), "P1").witnesses[44] == tuple(sorted(fits.proofs[0].formulas))
+    big = KnowledgeSystem(goals=["g"], proofs=[("P1", ["g", *(f"x{i:02d}" for i in range(44))])])
+    with pytest.raises(ProofTooLargeError, match=r"would hold 1035 formulas, over the budget of 1000"):
+        profile(big, proof_measure(big), "P1")
+
+
 def test_fixture_certainty_thresholds(ks):
     assert certainty_threshold(ks, "QB1") == 2
     assert certainty_threshold(ks, "QB2") == 3
