@@ -203,6 +203,22 @@ def test_profile_all_matches_golden(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    ("argv", "golden"),
+    [
+        (("weight", "tests/data/fixture.json", "--subset", ""), "weight_empty.json"),
+        (("weight", "tests/data/fixture.json", "--subset", "Day≠Fri"), "weight_day_not_fri.json"),
+        (("validate", "tests/data/fixture.json"), "validate_fixture.json"),
+    ],
+)
+def test_json_report_matches_golden(capsys, monkeypatch, argv, golden):
+    # the report echoes the path as given, so run from the repository root
+    monkeypatch.chdir(Path(__file__).parent.parent)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.encode("utf-8") == (GOLDEN / golden).read_bytes()
+
+
+@pytest.mark.parametrize(
     ("argv", "code", "golden"),
     [
         (("demo",), 0, "demo_table.txt"),

@@ -1,4 +1,5 @@
 import json
+import random
 from collections import Counter
 from pathlib import Path
 
@@ -69,6 +70,8 @@ def test_parse_rejects_garbage(world):
         parse_kformula("Win(Bok)∨Day=Fri", world)
 
 
+# every message the reader raises; an unknown name is an UnknownNameError,
+# anything else an UnparsableFormulaError
 @pytest.mark.parametrize(
     ("text", "message"),
     [
@@ -76,12 +79,78 @@ def test_parse_rejects_garbage(world):
         ("Brd(R1,Zok)", "unknown participant 'Zok' in 'Brd(R1,Zok)'"),
         ("¬Win(Zok)", "unknown participant 'Zok' in '¬Win(Zok)'"),
         ("Day≠Tue", "unknown day 'Tue' in 'Day≠Tue'"),
+        ("Brd(R9,Bok)", "unknown source 'R9' in 'Brd(R9,Bok)'"),
+        ("Brd(R9,Zok)", "unknown source 'R9' in 'Brd(R9,Zok)'"),
+        ("Win(Zok)", "unknown participant 'Zok' in 'Win(Zok)'"),
+        ("Day=Tue", "unknown day 'Tue' in 'Day=Tue'"),
+        ("Day=", "unknown day '' in 'Day='"),
+        ("Win(Zok)∨Day=Fri", "bad disjunct 'Day=Fri' in 'Win(Zok)∨Day=Fri'"),
+        ("Win(Bok) ∨ Win(Bok)", "disjunction needs two distinct participants: 'Win(Bok) ∨ Win(Bok)'"),
+        ("Win(Bok", "cannot parse 'Win(Bok'"),
+        ("Brd(R1, Bok, Dok)", "cannot parse 'Brd(R1, Bok, Dok)'"),
     ],
 )
 def test_parse_kformula_name_checks(world, text, message):
-    with pytest.raises(UnknownNameError) as exc:
+    error = UnknownNameError if message.startswith("unknown ") else UnparsableFormulaError
+    with pytest.raises(error) as exc:
         parse_kformula(text, world)
+    assert type(exc.value) is error
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    ("text", "formula"),
+    [
+        ("Brd( R1 , Bok )", brd("R1", "Bok")),
+        ("Day= Fri", day_is("Fri")),
+        ("¬ Win(Bok)", not_win("Bok")),
+        ("Win(Bok) ∨ Win(Dok)", win_disj({"Bok", "Dok"})),
+    ],
+)
+def test_parse_accepts_spacing_variants(world, text, formula):
+    parsed = parse_kformula(text, world)
+    assert parsed == formula
+    assert parsed.text() == formula.text()
+
+
+def _factory_formulas(world):
+    """Every formula the factories build over the world's names."""
+    participants = sorted(world.participants)
+    yield from (f(d) for d in world.day_domain for f in (day_is, day_not))
+    yield from (brd(s, p) for s in world.truthful_days for p in participants)
+    yield from (f(p) for p in participants for f in (win, not_win))
+    for mask in range(1, 1 << len(participants)):
+        members = [p for i, p in enumerate(participants) if mask >> i & 1]
+        if len(members) > 1:
+            yield win_disj(members)
+
+
+# names the grammar can carry: no whitespace, parentheses, commas, operator
+# symbols or their ASCII aliases
+_NAME_CHARS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_-.:é"
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_parse_inverts_text_over_random_worlds(seed):
+    rng = random.Random(seed)
+
+    def names(count):
+        out = set()
+        while len(out) < count:
+            out.add("".join(rng.choice(_NAME_CHARS) for _ in range(rng.randint(1, 6))))
+        return sorted(out)
+
+    days = names(rng.randint(1, 4))
+    world = WorldSpec(
+        participants=tuple(names(rng.randint(2, 6))),
+        day_domain=tuple(days),
+        truthful_days={s: frozenset(rng.sample(days, rng.randint(0, len(days))))
+                       for s in names(rng.randint(1, 4))},
+    )
+    formulas = list(_factory_formulas(world))
+    assert len(set(formulas)) == len(formulas)
+    for f in formulas:
+        assert parse_kformula(f.text(), world) == f
 
 
 @pytest.mark.parametrize(
