@@ -271,7 +271,9 @@ def main(argv: list[str] | None = None) -> int:
         return fail.code
     try:
         sys.stdout.write(render(report, args.format))
-    except UnicodeEncodeError as exc:  # e.g. a lone surrogate from a JSON \u escape
+        sys.stdout.flush()
+    # a lone surrogate from a JSON \u escape, or a stdout that fails (a full disk)
+    except (UnicodeEncodeError, OSError) as exc:
         print(f"error: cannot write the report: {exc}", file=sys.stderr)
         return EXIT_IO
     return code

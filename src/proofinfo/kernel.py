@@ -6,6 +6,10 @@ facts, winner claims); the checker validates proof listings step by step
 against six rules, and a bounded forward chainer enumerates proofs from user
 data.
 
+The formula language is defined once, in the table `_FORMS` of each kind's
+text template and pattern: `KFormula.text()` writes and `parse_kformula`
+reads a formula with it.
+
 Rules:
   UserData            day and broadcast facts are always admissible
   TruthfulBroadcast   Brd(R,a) with R resolved truthful   => Win(a)
@@ -33,6 +37,7 @@ from __future__ import annotations
 import functools
 import re
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -59,7 +64,8 @@ class WorldSpec:
     A schedule is stored as the set of days on which the source is truthful:
     the full domain (always truthful), the empty set (always deceitful), or
     anything in between (day-dependent). Every (source, day) pair therefore
-    resolves to truthful or deceitful.
+    resolves to truthful or deceitful. A world keeps read-only copies of its
+    arguments, so a checked world cannot change.
     """
 
     participants: tuple[str, ...]
@@ -67,6 +73,11 @@ class WorldSpec:
     truthful_days: Mapping[str, frozenset[str]]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "participants", tuple(self.participants))
+        object.__setattr__(self, "day_domain", tuple(self.day_domain))
+        object.__setattr__(self, "truthful_days", MappingProxyType(
+            {source: frozenset(days) for source, days in self.truthful_days.items()}
+        ))
         if len(set(self.participants)) < 2:
             raise MalformedDocumentError("a world needs at least two distinct participants")
         if len(set(self.participants)) != len(self.participants):
@@ -157,6 +168,21 @@ def parse_world(document: object) -> WorldSpec:
 # kernel formulas
 # ---------------------------------------------------------------------------
 
+# kind -> (text template, pattern with one named group per field), in the
+# reader's order; a disjunction is the sorted ∨-join of its Win disjuncts
+_FORMS: dict[str, tuple[str, re.Pattern[str]]] = {
+    "day_is": ("Day={day}", re.compile(r"Day=\s*(?P<day>.*)")),
+    "day_not": ("Day≠{day}", re.compile(r"Day≠\s*(?P<day>.*)")),
+    "brd": ("Brd({source},{participant})",
+            re.compile(r"Brd\(\s*(?P<source>[^,()\s]+)\s*,\s*(?P<participant>[^,()\s]+)\s*\)")),
+    "not_win": ("¬Win({participant})", re.compile(r"¬\s*Win\(\s*(?P<participant>[^()\s]+)\s*\)")),
+    "win": ("Win({participant})", re.compile(r"Win\(\s*(?P<participant>[^()\s]+)\s*\)")),
+}
+
+# the world attribute that declares the names each field may take
+_DECLARED_IN = {"day": "day_domain", "source": "truthful_days", "participant": "participants"}
+
+
 @dataclass(frozen=True)
 class KFormula:
     """A structured kernel formula; build with the factory functions below."""
@@ -172,17 +198,9 @@ class KFormula:
 
     @functools.cached_property  # stored in the instance dict, outside the fields
     def _text(self) -> str:
-        if self.kind == "day_is":
-            return f"Day={self.day}"
-        if self.kind == "day_not":
-            return f"Day≠{self.day}"
-        if self.kind == "brd":
-            return f"Brd({self.source},{self.participant})"
-        if self.kind == "win":
-            return f"Win({self.participant})"
-        if self.kind == "not_win":
-            return f"¬Win({self.participant})"
-        return "∨".join(f"Win({p})" for p in sorted(self.participants))
+        if self.kind in _FORMS:
+            return _FORMS[self.kind][0].format_map(vars(self))
+        return "∨".join(_FORMS["win"][0].format(participant=p) for p in sorted(self.participants))
 
     def __repr__(self) -> str:
         return f"KFormula({self.text()})"
@@ -227,9 +245,9 @@ def is_data(formula: KFormula) -> bool:
     return formula.kind == "brd" or _is_day_fact(formula)
 
 
-_BRD_RE = re.compile(r"Brd\(\s*([^,()\s]+)\s*,\s*([^,()\s]+)\s*\)")
-_WIN_RE = re.compile(r"Win\(\s*([^()\s]+)\s*\)")
-_NOT_WIN_RE = re.compile(r"¬\s*Win\(\s*([^()\s]+)\s*\)")
+def _check_name(world: WorldSpec, field: str, name: str, text: str) -> None:
+    if name not in getattr(world, _DECLARED_IN[field]):
+        raise UnknownNameError(f"unknown {field} {name!r} in {text!r}")
 
 
 def parse_kformula(text: str, world: WorldSpec) -> KFormula:
@@ -244,46 +262,23 @@ def parse_kformula(text: str, world: WorldSpec) -> KFormula:
     if "∨" in text:
         names = []
         for part in text.split("∨"):
-            m = _WIN_RE.fullmatch(part.strip())
+            m = _FORMS["win"][1].fullmatch(part.strip())
             if m is None:
                 raise UnparsableFormulaError(f"bad disjunct {part.strip()!r} in {text!r}")
-            names.append(m.group(1))
+            names.append(m["participant"])
         for name in names:
-            if name not in world.participants:
-                raise UnknownNameError(f"unknown participant {name!r} in {text!r}")
+            _check_name(world, "participant", name, text)
         if len(set(names)) < 2:
             raise UnparsableFormulaError(f"disjunction needs two distinct participants: {text!r}")
         return win_disj(names)
 
-    if text.startswith("Day="):
-        day = text[len("Day="):].strip()
-        if day not in world.day_domain:
-            raise UnknownNameError(f"unknown day {day!r} in {text!r}")
-        return day_is(day)
-    if text.startswith("Day≠"):
-        day = text[len("Day≠"):].strip()
-        if day not in world.day_domain:
-            raise UnknownNameError(f"unknown day {day!r} in {text!r}")
-        return day_not(day)
-
-    m = _BRD_RE.fullmatch(text)
-    if m:
-        source, participant = m.group(1), m.group(2)
-        if source not in world.truthful_days:
-            raise UnknownNameError(f"unknown source {source!r} in {text!r}")
-        if participant not in world.participants:
-            raise UnknownNameError(f"unknown participant {participant!r} in {text!r}")
-        return brd(source, participant)
-    m = _NOT_WIN_RE.fullmatch(text)
-    if m:
-        if m.group(1) not in world.participants:
-            raise UnknownNameError(f"unknown participant {m.group(1)!r} in {text!r}")
-        return not_win(m.group(1))
-    m = _WIN_RE.fullmatch(text)
-    if m:
-        if m.group(1) not in world.participants:
-            raise UnknownNameError(f"unknown participant {m.group(1)!r} in {text!r}")
-        return win(m.group(1))
+    for kind, (_, pattern) in _FORMS.items():
+        m = pattern.fullmatch(text)
+        if m:
+            fields = m.groupdict()
+            for field, name in fields.items():
+                _check_name(world, field, name, text)
+            return KFormula(kind, **fields)
     raise UnparsableFormulaError(f"cannot parse {text!r}")
 
 
@@ -457,15 +452,15 @@ def _first_application(
     notes: list[str] | None,
 ) -> _Application | None:
     """The first application led by one of the premises, in order, whose
-    conclusion passes `concludes`. A broadcast whose source cannot be
-    resolved is noted in `notes`, or skipped silently when notes is None."""
-    skipped = (InconsistentDayContextError,) + ((UnknownNameError,) if notes is None else ())
+    conclusion passes `concludes`. A broadcast whose day facts conflict is
+    noted in `notes`, or skipped silently when notes is None; an unknown name
+    raises on either path."""
     for j, e in premises:
         try:
             for app in _RULES[e.kind](facts, j, e):
                 if concludes(app[2]):
                     return app
-        except skipped as exc:
+        except InconsistentDayContextError as exc:
             if notes is not None:
                 notes.append(str(exc))
             continue

@@ -412,6 +412,31 @@ def test_profile_witness_table_over_budget_exits_2(tmp_path, capsys):
 
 # ---- malformed JSON ---------------------------------------------------------------
 
+
+class _FailingStdout:
+    """A stdout whose `write` or `flush` fails as on a full disk."""
+
+    def __init__(self, failing):
+        self.failing = failing
+
+    def write(self, text):
+        if self.failing == "write":
+            raise OSError(28, "No space left on device")
+        return len(text)
+
+    def flush(self):
+        if self.failing == "flush":
+            raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("failing", ["write", "flush"])
+def test_unwritable_report_exits_3(capsys, monkeypatch, failing):
+    monkeypatch.setattr(sys, "stdout", _FailingStdout(failing))
+    assert main(["demo"]) == 3
+    assert capsys.readouterr().err == (
+        "error: cannot write the report: [Errno 28] No space left on device\n"
+    )
+
 def test_deeply_nested_json_exits_3(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")

@@ -269,6 +269,23 @@ def test_world_rejects_repeated_participants():
         WorldSpec(("Bok", "Bok", "Dok"), ("Fri",), {"R1": frozenset({"Fri"})})
 
 
+
+def test_world_is_read_only():
+    parsed = parse_world(json.loads((DATA / "world.json").read_text(encoding="utf-8")))
+    with pytest.raises(TypeError):
+        parsed.truthful_days["R1"] = frozenset()
+    # the world keeps its own copies of what it was built from
+    participants, days, schedules = ["Bok", "Dok"], ["Fri", "Sat"], {"R1": {"Fri"}}
+    built = WorldSpec(participants, days, schedules)
+    participants.append("Fok")
+    days.clear()
+    schedules["R1"].clear()
+    schedules["R2"] = set()
+    assert built.participants == ("Bok", "Dok")
+    assert built.day_domain == ("Fri", "Sat")
+    assert built.truthful_on("R1") == frozenset({"Fri"})
+    assert list(built.truthful_days) == ["R1"]
+
 def test_resolve_reliability(world):
     assert resolve_reliability(world, "R1", []) == TRUTHFUL
     assert resolve_reliability(world, "R3", []) == DECEITFUL
@@ -376,6 +393,20 @@ def test_inconsistent_day_facts_reported_as_violation(world):
     checked = check_proof(world, listing, {win("Bok")})
     assert not checked.valid
 
+
+
+@pytest.mark.parametrize(
+    "listing",
+    [
+        [brd("R9", "Bok"), win("Bok")],
+        # the disjunction needs ¬Win(Fok), which an implicit hop would take
+        # from the broadcast about Fok
+        [brd("R9", "Fok"), win_disj({"Bok", "Dok"})],
+    ],
+)
+def test_unknown_source_raises_on_both_checker_paths(world, listing):
+    with pytest.raises(UnknownNameError, match="unknown source 'R9'"):
+        check_proof(world, listing, {win("Bok")})
 
 # ---- enumeration ---------------------------------------------------------------
 
