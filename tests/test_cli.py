@@ -208,6 +208,7 @@ def test_profile_all_matches_golden(capsys, monkeypatch):
         (("weight", "tests/data/fixture.json", "--subset", ""), "weight_empty.json"),
         (("weight", "tests/data/fixture.json", "--subset", "Day≠Fri"), "weight_day_not_fri.json"),
         (("validate", "tests/data/fixture.json"), "validate_fixture.json"),
+        (("entropy", "--dist", "1/4,1/4,1/2"), "entropy.json"),
     ],
 )
 def test_json_report_matches_golden(capsys, monkeypatch, argv, golden):
@@ -224,6 +225,7 @@ def test_json_report_matches_golden(capsys, monkeypatch, argv, golden):
         (("demo",), 0, "demo_table.txt"),
         (("check", "tests/data/world.json", "tests/data/fixture.json", "--strict"), 2,
          "check_strict_table.txt"),
+        (("entropy", "--dist", "1/4,1/4,1/2"), 0, "entropy_table.txt"),
     ],
 )
 def test_table_output_matches_golden(capsys, monkeypatch, argv, code, golden):
