@@ -262,19 +262,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_error(message: str) -> None:
+    """Print an error line; a stderr that cannot take it changes no exit code."""
+    try:
+        print(f"error: {message}", file=sys.stderr)
+    except OSError:
+        pass
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         report, code = args.handler(args)
     except _Fail as fail:
-        print(f"error: {fail.message}", file=sys.stderr)
+        _print_error(fail.message)
         return fail.code
     try:
         sys.stdout.write(render(report, args.format))
         sys.stdout.flush()
     # a lone surrogate from a JSON \u escape, or a stdout that fails (a full disk)
     except (UnicodeEncodeError, OSError) as exc:
-        print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        _print_error(f"cannot write the report: {exc}")
         return EXIT_IO
     return code
 

@@ -12,7 +12,6 @@ the other maxima and first witnesses; the averages and size queries read it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import (
     InternalInvariantViolation,
@@ -21,7 +20,7 @@ from .errors import (
     UnknownProofIdError,
 )
 from .measure import ProbabilityMeasure, _mass_groups, _support_mask
-from .model import KnowledgeSystem, Proof
+from .model import KnowledgeSystem, Proof, _Record
 from .weight import _weigh, weight
 
 # Subsets a search may visit before it gives up. A visited subset costs one
@@ -40,8 +39,7 @@ MAX_SEARCH_NODES = 1 << 23
 _PRUNE_MARGIN = 1e-12
 
 
-@dataclass(frozen=True)
-class WeightProfile:
+class WeightProfile(_Record):
     """Per-proof convergence profile.
 
     max_weights[k] is the worst-case weight over size-k subsets, for
@@ -51,12 +49,26 @@ class WeightProfile:
     another goal; every size from it up weighs 0.0.
     """
 
-    proof_id: str
-    max_weights: tuple[float, ...]
-    witnesses: tuple[tuple[str, ...], ...]
-    certainty_threshold: int
-    average_weight: float
-    average_speed: float
+    __slots__ = (
+        "proof_id", "max_weights", "witnesses", "certainty_threshold", "average_weight",
+        "average_speed",
+    )
+
+    def __init__(
+        self,
+        proof_id: str,
+        max_weights: tuple[float, ...],
+        witnesses: tuple[tuple[str, ...], ...],
+        certainty_threshold: int,
+        average_weight: float,
+        average_speed: float,
+    ) -> None:
+        object.__setattr__(self, "proof_id", proof_id)
+        object.__setattr__(self, "max_weights", max_weights)
+        object.__setattr__(self, "witnesses", witnesses)
+        object.__setattr__(self, "certainty_threshold", certainty_threshold)
+        object.__setattr__(self, "average_weight", average_weight)
+        object.__setattr__(self, "average_speed", average_speed)
 
 
 def _resolve_proof(ks: KnowledgeSystem, proof: Proof | str) -> Proof:

@@ -36,9 +36,8 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
+from collections.abc import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 from types import MappingProxyType
-from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     InconsistentDayContextError,
@@ -46,7 +45,7 @@ from .errors import (
     UnknownNameError,
     UnparsableFormulaError,
 )
-from .model import KnowledgeSystem, normalize_formula
+from .model import KnowledgeSystem, _Record, normalize_formula
 
 TRUTHFUL = "truthful"
 DECEITFUL = "deceitful"
@@ -57,26 +56,28 @@ UNKNOWN = "unknown"
 # world specification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WorldSpec:
+class WorldSpec(_Record):
     """Participants, day domain, and per-source truthfulness schedules.
 
     A schedule is stored as the set of days on which the source is truthful:
     the full domain (always truthful), the empty set (always deceitful), or
     anything in between (day-dependent). Every (source, day) pair therefore
     resolves to truthful or deceitful. A world keeps read-only copies of its
-    arguments, so a checked world cannot change.
+    arguments, so a checked world cannot change; equal worlds hash equal.
     """
 
-    participants: tuple[str, ...]
-    day_domain: tuple[str, ...]
-    truthful_days: Mapping[str, frozenset[str]]
+    __slots__ = ("participants", "day_domain", "truthful_days")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "participants", tuple(self.participants))
-        object.__setattr__(self, "day_domain", tuple(self.day_domain))
+    def __init__(
+        self,
+        participants: Iterable[str],
+        day_domain: Iterable[str],
+        truthful_days: Mapping[str, Iterable[str]],
+    ) -> None:
+        object.__setattr__(self, "participants", tuple(participants))
+        object.__setattr__(self, "day_domain", tuple(day_domain))
         object.__setattr__(self, "truthful_days", MappingProxyType(
-            {source: frozenset(days) for source, days in self.truthful_days.items()}
+            {source: frozenset(days) for source, days in truthful_days.items()}
         ))
         if len(set(self.participants)) < 2:
             raise MalformedDocumentError("a world needs at least two distinct participants")
@@ -91,6 +92,11 @@ class WorldSpec:
             stray = set(days) - domain
             if stray:
                 raise UnknownNameError(f"source {source!r}: days {sorted(stray)} not in the day domain")
+
+    @staticmethod
+    def _key(world: WorldSpec) -> tuple:
+        # a read-only mapping does not hash; its items do
+        return world.participants, world.day_domain, frozenset(world.truthful_days.items())
 
     def truthful_on(self, source: str) -> frozenset[str]:
         try:
@@ -183,24 +189,33 @@ _FORMS: dict[str, tuple[str, re.Pattern[str]]] = {
 _DECLARED_IN = {"day": "day_domain", "source": "truthful_days", "participant": "participants"}
 
 
-@dataclass(frozen=True)
-class KFormula:
+class KFormula(_Record):
     """A structured kernel formula; build with the factory functions below."""
 
-    kind: str  # "day_is" | "day_not" | "brd" | "win" | "not_win" | "win_disj"
-    day: str | None = None
-    source: str | None = None
-    participant: str | None = None
-    participants: frozenset[str] = frozenset()
+    # _text is built once, from the fields; it is not a field itself
+    __slots__ = ("kind", "day", "source", "participant", "participants", "_text")
+
+    def __init__(
+        self,
+        kind: str,  # "day_is" | "day_not" | "brd" | "win" | "not_win" | "win_disj"
+        day: str | None = None,
+        source: str | None = None,
+        participant: str | None = None,
+        participants: frozenset[str] = frozenset(),
+    ) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "day", day)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "participant", participant)
+        object.__setattr__(self, "participants", participants)
+        if kind in _FORMS:
+            text = _FORMS[kind][0].format(day=day, source=source, participant=participant)
+        else:
+            text = "∨".join(_FORMS["win"][0].format(participant=p) for p in sorted(participants))
+        object.__setattr__(self, "_text", text)
 
     def text(self) -> str:
         return self._text
-
-    @functools.cached_property  # stored in the instance dict, outside the fields
-    def _text(self) -> str:
-        if self.kind in _FORMS:
-            return _FORMS[self.kind][0].format_map(vars(self))
-        return "∨".join(_FORMS["win"][0].format(participant=p) for p in sorted(self.participants))
 
     def __repr__(self) -> str:
         return f"KFormula({self.text()})"
@@ -402,23 +417,39 @@ _RULES: dict[str, Callable[[_Facts, int, KFormula], Iterator[_Application]]] = {
 # proof checking
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RuleApplication:
+class RuleApplication(_Record):
     """One justified step: the rule, the indices of the premises used (all
     earlier than the step), and any implicit hop formulas (non-strict mode)."""
 
-    rule: str
-    premises: tuple[int, ...]
-    conclusion: KFormula
-    implicit: tuple[KFormula, ...] = ()
+    __slots__ = ("rule", "premises", "conclusion", "implicit")
+
+    def __init__(
+        self,
+        rule: str,
+        premises: tuple[int, ...],
+        conclusion: KFormula,
+        implicit: tuple[KFormula, ...] = (),
+    ) -> None:
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "premises", premises)
+        object.__setattr__(self, "conclusion", conclusion)
+        object.__setattr__(self, "implicit", implicit)
 
 
-@dataclass(frozen=True)
-class CheckedProof:
-    proof_id: str
-    steps: tuple[RuleApplication, ...]
-    valid: bool
-    violations: tuple[tuple[int, str], ...]
+class CheckedProof(_Record):
+    __slots__ = ("proof_id", "steps", "valid", "violations")
+
+    def __init__(
+        self,
+        proof_id: str,
+        steps: tuple[RuleApplication, ...],
+        valid: bool,
+        violations: tuple[tuple[int, str], ...],
+    ) -> None:
+        object.__setattr__(self, "proof_id", proof_id)
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "valid", valid)
+        object.__setattr__(self, "violations", violations)
 
 
 def _leading_premises(facts: _Facts, f: KFormula) -> Iterator[tuple[int, KFormula]]:
@@ -581,21 +612,29 @@ def check_knowledge_system(
 # bounded proof enumeration
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ProofListing:
+class ProofListing(_Record):
     """An enumerated proof: goal plus the ordered formulas that derive it."""
 
-    goal: KFormula
-    formulas: tuple[KFormula, ...]
+    __slots__ = ("goal", "formulas")
+
+    def __init__(self, goal: KFormula, formulas: tuple[KFormula, ...]) -> None:
+        object.__setattr__(self, "goal", goal)
+        object.__setattr__(self, "formulas", formulas)
 
     def texts(self) -> tuple[str, ...]:
         return tuple(f.text() for f in self.formulas)
 
 
-@dataclass(frozen=True)
-class EnumerationResult:
-    proofs: tuple[ProofListing, ...]
-    contradictions: tuple[str, ...]  # participants derived both to win and not to win
+class EnumerationResult(_Record):
+    __slots__ = ("proofs", "contradictions")
+
+    def __init__(
+        self,
+        proofs: tuple[ProofListing, ...],
+        contradictions: tuple[str, ...],  # participants derived both to win and not to win
+    ) -> None:
+        object.__setattr__(self, "proofs", proofs)
+        object.__setattr__(self, "contradictions", contradictions)
 
 
 def enumerate_proofs(

@@ -11,41 +11,46 @@ popcounts times integer masses over one common denominator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Mapping
 
 from .errors import NotADistributionError, UnknownGoalError
-from .model import _MAX_DIGITS, KnowledgeSystem, _parse_probability, _printable
+from .model import _MAX_DIGITS, KnowledgeSystem, _parse_probability, _printable, _Record
 
 
-@dataclass(frozen=True)
-class ProbabilityMeasure:
+class ProbabilityMeasure(_Record):
     """Exact per-proof and per-goal masses, as read-only mappings."""
 
-    per_proof: Mapping[str, Fraction]
-    per_goal: Mapping[str, Fraction]
+    __slots__ = ("per_proof", "per_goal")
+
+    def __init__(self, per_proof: Mapping[str, Fraction], per_goal: Mapping[str, Fraction]) -> None:
+        object.__setattr__(self, "per_proof", per_proof)
+        object.__setattr__(self, "per_goal", per_goal)
 
 
-@dataclass(frozen=True)
-class Support:
+class Support(_Record):
     """The proofs containing a formula subset, with their exact masses.
 
     per_goal_mass is read-only, keyed in goal order; total_mass is its sum,
     which is the mass of the member proofs since each proof has one goal.
     """
 
-    proofs: frozenset[str]
-    per_goal_mass: Mapping[str, Fraction]
-    total_mass: Fraction
+    __slots__ = ("proofs", "per_goal_mass", "total_mass")
+
+    def __init__(
+        self, proofs: frozenset[str], per_goal_mass: Mapping[str, Fraction], total_mass: Fraction
+    ) -> None:
+        object.__setattr__(self, "proofs", proofs)
+        object.__setattr__(self, "per_goal_mass", per_goal_mass)
+        object.__setattr__(self, "total_mass", total_mass)
 
 
 def proof_measure(ks: KnowledgeSystem) -> ProbabilityMeasure:
     """The maximum-uncertainty measure: mass 1/(M * class size) per proof."""
-    per_proof = MappingProxyType({
-        p.id: Fraction(1, ks.M * len(ks.classes[p.goal])) for p in ks.proofs
-    })
+    # the proofs of one class share one value
+    share = {g: Fraction(1, ks.M * len(members)) for g, members in ks.classes.items()}
+    per_proof = MappingProxyType({p.id: share[p.goal] for p in ks.proofs})
     per_goal = MappingProxyType({g: Fraction(1, ks.M) for g in ks.goals})
     return ProbabilityMeasure(per_proof=per_proof, per_goal=per_goal)
 

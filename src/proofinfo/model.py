@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import json
 import re
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, defaultdict
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
+from operator import attrgetter
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Mapping
 
 from .errors import (
     DuplicateProofBodyError,
@@ -51,8 +51,49 @@ def normalize_formula(raw: str) -> str:
     return text
 
 
-@dataclass(frozen=True)
-class Proof:
+class _Record:
+    """Base of the package's immutable records.
+
+    A record names its fields in `__slots__`, in constructor order (a slot
+    named with a leading "_" holds derived state, not a field), and its
+    `__init__` sets each slot with object.__setattr__. Records of one class
+    compare and hash by their field values, or by what `_key` returns if the
+    class defines it; they print as Class(field=value, ...), refuse every
+    change, and copy and pickle by calling the class on their field values.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        # every record has two or more fields, so this returns a tuple
+        cls._values = attrgetter(*cls._fields)
+        if "_key" not in vars(cls):
+            cls._key = cls._values
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
+
+    def __reduce__(self) -> tuple[type, tuple]:
+        return type(self), self._values(self)
+
+
+class Proof(_Record):
     """A named proof: a finite formula set containing exactly one goal.
 
     `listing` preserves the (deduplicated) order formulas were given in; the
@@ -60,13 +101,27 @@ class Proof:
     checks proofs in listed order.
     """
 
-    id: str
-    formulas: frozenset[str]
-    goal: str
-    listing: tuple[str, ...]
+    __slots__ = ("id", "formulas", "goal", "listing")
+
+    def __init__(
+        self, id: str, formulas: frozenset[str], goal: str, listing: tuple[str, ...]
+    ) -> None:
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "formulas", formulas)
+        object.__setattr__(self, "goal", goal)
+        object.__setattr__(self, "listing", listing)
 
     def __len__(self) -> int:
         return len(self.formulas)
+
+
+def _mask(positions: list[int], size: int) -> int:
+    """The int with the bits at `positions`, all below `size`, set: built in
+    one pass, not by OR-ing a growing int once per position."""
+    digits = bytearray(b"0") * size  # digits[i] is bit i
+    for pos in positions:
+        digits[pos] = 49  # ord("1")
+    return int(digits[::-1], 2)
 
 
 class KnowledgeSystem:
@@ -117,7 +172,8 @@ class KnowledgeSystem:
 
         built: list[Proof] = []
         classes: dict[str, list[str]] = {g: [] for g in goal_list}
-        formula_masks: dict[str, int] = {}
+        # each formula's positions in `built`, made into its mask at the end
+        rows: defaultdict[str, list[int]] = defaultdict(list)
         # each distinct string once (large systems repeat a few dozen); a
         # non-string still goes to normalize_formula, whose error it gets
         normalized: dict[str, str] = {}
@@ -130,40 +186,53 @@ class KnowledgeSystem:
                 raise DuplicateProofIdError(f"proof id {pid!r} used twice")
             seen_ids.add(pid)
 
-            listing: list[str] = []
-            for pos, raw in enumerate(raw_formulas):
-                text = normalized.get(raw) if isinstance(raw, str) else None
-                if text is None:
-                    try:
-                        text = normalized[raw] = normalize_formula(raw)
-                    except EmptyFormulaError as exc:
-                        raise EmptyFormulaError(f"proof {pid!r}, formulas[{pos}]: {exc}") from exc
-                if text not in listing:
+            # the readers pass lists, whose strings are mostly cached; a miss,
+            # a non-string or another iterable takes the loop, and its error
+            listing = None
+            if isinstance(raw_formulas, list):
+                try:
+                    listing = [normalized[raw] for raw in raw_formulas]
+                except (KeyError, TypeError):
+                    pass
+            if listing is None:
+                listing = []
+                for pos, raw in enumerate(raw_formulas):
+                    text = normalized.get(raw) if isinstance(raw, str) else None
+                    if text is None:
+                        try:
+                            text = normalized[raw] = normalize_formula(raw)
+                        except EmptyFormulaError as exc:
+                            raise EmptyFormulaError(f"proof {pid!r}, formulas[{pos}]: {exc}") from exc
                     listing.append(text)
             body = frozenset(listing)
             if not body:
                 raise NoGoalInProofError(f"proof {pid!r} contains no formulas")
+            if len(body) < len(listing):
+                listing = list(dict.fromkeys(listing))
 
-            goals_in = sorted(goal_set & body)
-            if not goals_in:
-                raise NoGoalInProofError(f"proof {pid!r} contains no goal formula")
-            if len(goals_in) > 1:
+            goals_in = goal_set & body
+            if len(goals_in) != 1:
+                if not goals_in:
+                    raise NoGoalInProofError(f"proof {pid!r} contains no goal formula")
                 raise MultipleGoalsInProofError(
-                    f"proof {pid!r} contains several goals: {', '.join(goals_in)}"
+                    f"proof {pid!r} contains several goals: {', '.join(sorted(goals_in))}"
                 )
             if body in seen_bodies:
                 raise DuplicateProofBodyError(
                     f"proofs {seen_bodies[body]!r} and {pid!r} have identical formula sets"
                 )
             seen_bodies[body] = pid
+            index = len(built)
             for f in body:
-                formula_masks[f] = formula_masks.get(f, 0) | 1 << len(built)
-            classes[goals_in[0]].append(pid)
-            built.append(Proof(id=pid, formulas=body, goal=goals_in[0], listing=tuple(listing)))
+                rows[f].append(index)
+            (goal,) = goals_in
+            classes[goal].append(pid)
+            built.append(Proof(pid, body, goal, tuple(listing)))
 
         for g, members in classes.items():
             if not members:
                 raise UncoveredGoalError(f"goal {g!r} appears in no proof")
+        formula_masks = {f: _mask(positions, len(built)) for f, positions in rows.items()}
         # bypasses __setattr__, which refuses every later change
         vars(self).update(
             goals=tuple(goal_list),
@@ -226,10 +295,10 @@ def parse_knowledge_system(document: object) -> KnowledgeSystem:
     for pos, entry in enumerate(raw_proofs):
         if not isinstance(entry, dict):
             raise MalformedDocumentError(f"proofs[{pos}] must be an object")
-        unknown = set(entry) - _PROOF_KEYS
-        if unknown:
-            raise MalformedDocumentError(f"proofs[{pos}]: unknown keys {sorted(unknown)}")
-        if set(entry) != _PROOF_KEYS:
+        if entry.keys() != _PROOF_KEYS:
+            unknown = set(entry) - _PROOF_KEYS
+            if unknown:
+                raise MalformedDocumentError(f"proofs[{pos}]: unknown keys {sorted(unknown)}")
             raise MalformedDocumentError(f"proofs[{pos}]: needs exactly 'id' and 'formulas'")
         pid, formulas = entry["id"], entry["formulas"]
         if not isinstance(pid, str):

@@ -12,7 +12,7 @@ import hashlib
 import json
 from fractions import Fraction
 from json.encoder import encode_basestring
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from . import __version__
 from .convergence import profile

@@ -9,16 +9,14 @@ once the support sits inside a single goal class.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping
 
 from .measure import ProbabilityMeasure, _goal_masses, _mass_groups, _support, _support_mask
-from .model import KnowledgeSystem
+from .model import KnowledgeSystem, _Record
 
 
-@dataclass(frozen=True)
-class WeightResult:
+class WeightResult(_Record):
     """Weight of one subset plus the structural facts behind the number.
 
     `certain` and `empty_support` are decided by set containment, never by
@@ -26,13 +24,28 @@ class WeightResult:
     `support_ids` and `total_mass` are the support the weight was computed on.
     """
 
-    value: float
-    per_goal_terms: Mapping[str, Fraction]
-    support_size: int
-    certain: bool
-    empty_support: bool
-    support_ids: frozenset[str]
-    total_mass: Fraction
+    __slots__ = (
+        "value", "per_goal_terms", "support_size", "certain", "empty_support", "support_ids",
+        "total_mass",
+    )
+
+    def __init__(
+        self,
+        value: float,
+        per_goal_terms: Mapping[str, Fraction],
+        support_size: int,
+        certain: bool,
+        empty_support: bool,
+        support_ids: frozenset[str],
+        total_mass: Fraction,
+    ) -> None:
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "per_goal_terms", per_goal_terms)
+        object.__setattr__(self, "support_size", support_size)
+        object.__setattr__(self, "certain", certain)
+        object.__setattr__(self, "empty_support", empty_support)
+        object.__setattr__(self, "support_ids", support_ids)
+        object.__setattr__(self, "total_mass", total_mass)
 
 
 def _structural_zero(ks: KnowledgeSystem, mask: int) -> bool:

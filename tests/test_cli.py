@@ -439,6 +439,68 @@ def test_unwritable_report_exits_3(capsys, monkeypatch, failing):
         "error: cannot write the report: [Errno 28] No space left on device\n"
     )
 
+class _BreakingStream:
+    """A text stream whose `fail_at`-th write or flush raises `error`, and, if
+    `broken_after`, every later one too."""
+
+    def __init__(self, fail_at, error=OSError, broken_after=False):
+        self.calls = 0
+        self.raised = False
+        self.fail_at, self.error, self.broken_after = fail_at, error, broken_after
+
+    def _call(self):
+        self.calls += 1
+        if self.calls == self.fail_at or (self.broken_after and self.calls > self.fail_at):
+            self.raised = True
+            raise self.error(28, "No space left on device")
+
+    def write(self, text):
+        self._call()
+        return len(text)
+
+    def flush(self):
+        self._call()
+
+
+# inputs each command completes and inputs it refuses; demo reads no input,
+# so only its output can fail
+_EXIT_CASES = [
+    pytest.param(("demo",), id="demo"),
+    pytest.param(("validate", FIXTURE), id="validate-ok"),
+    pytest.param(("validate", WORLD), id="validate-invalid"),
+    pytest.param(("validate", "no-such-file.json"), id="validate-missing"),
+    pytest.param(("weight", FIXTURE, "--subset", "Day=Fri"), id="weight-ok"),
+    pytest.param(("weight", WORLD, "--subset", "Day=Fri"), id="weight-invalid"),
+    pytest.param(("profile", FIXTURE, "--proof", "QB3"), id="profile-ok"),
+    pytest.param(("profile", FIXTURE, "--proof", "NOPE"), id="profile-unknown"),
+    pytest.param(("entropy", "--dist", "1/4,1/4,1/2"), id="entropy-ok"),
+    pytest.param(("entropy", "--dist", "1/2,1/3"), id="entropy-invalid"),
+    pytest.param(("check", WORLD, FIXTURE, "--format", "table"), id="check-ok"),
+    pytest.param(("check", "no-such-world.json", FIXTURE), id="check-missing"),
+]
+
+
+@pytest.mark.parametrize("argv", _EXIT_CASES)
+def test_exit_code_survives_failing_streams(monkeypatch, argv):
+    # a clean run gives the code and how many calls each stream takes
+    out, err = _BreakingStream(0), _BreakingStream(0)
+    monkeypatch.setattr(sys, "stdout", out)
+    monkeypatch.setattr(sys, "stderr", err)
+    clean = main(list(argv))
+    assert clean in (0, 2, 3)
+    for k_out in range(1, out.calls + 2):  # the last k is past every call
+        for k_err in range(1, err.calls + 2):
+            for error in (OSError, BrokenPipeError):
+                for broken_after in (False, True):
+                    stdout = _BreakingStream(k_out, error, broken_after)
+                    stderr = _BreakingStream(k_err, OSError, broken_after)
+                    monkeypatch.setattr(sys, "stdout", stdout)
+                    monkeypatch.setattr(sys, "stderr", stderr)
+                    code = main(list(argv))
+                    # only a report that cannot be written changes the code
+                    assert code == (3 if stdout.raised else clean), (k_out, k_err, error)
+
+
 def test_deeply_nested_json_exits_3(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")

@@ -10,6 +10,7 @@ from proofinfo import kernel
 from proofinfo import (
     brd,
     builtin_example,
+    builtin_world,
     check_knowledge_system,
     check_proof,
     day_is,
@@ -285,6 +286,18 @@ def test_world_is_read_only():
     assert built.day_domain == ("Fri", "Sat")
     assert built.truthful_on("R1") == frozenset({"Fri"})
     assert list(built.truthful_days) == ["R1"]
+
+
+def test_equal_worlds_hash_equal(world):
+    # built from other containers, with the schedules in another order
+    same = WorldSpec(
+        ["Bok", "Dok", "Fok"], ["Fri", "Other"],
+        {"R3": set(), "R2": ["Fri"], "R1": ("Other", "Fri")},
+    )
+    assert same == world and hash(same) == hash(world)
+    assert len({world, same, builtin_world()}) == 1
+    assert len({world, WorldSpec(world.participants, world.day_domain, {"R1": ()})}) == 2
+
 
 def test_resolve_reliability(world):
     assert resolve_reliability(world, "R1", []) == TRUTHFUL

@@ -6,11 +6,15 @@ fields, prints a fixed repr, refuses changes, and survives copy and pickle.
 
 import copy
 import pickle
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from types import MappingProxyType
 
 import pytest
 
+import proofinfo
 from proofinfo import (
     CheckedProof,
     EnumerationResult,
@@ -36,7 +40,8 @@ def _proxy(**items):
 
 # (type, field names, a sample's values, other values for each field, the
 #  sample's repr, whether it is hashable, whether it pickles); a read-only
-#  mapping field can be neither hashed nor pickled
+#  mapping field can be neither hashed nor pickled, except that a world
+#  hashes its schedules' items
 RECORDS = [
     (Proof, ("id", "formulas", "goal", "listing"),
      ("P1", frozenset({"a"}), "a", ("a",)),
@@ -71,7 +76,7 @@ RECORDS = [
      (("A", "B"), ("Fri",), {"R1": frozenset({"Fri"})}),
      (("A", "C"), ("Fri", "Sat"), {"R1": frozenset()}),
      "WorldSpec(participants=('A', 'B'), day_domain=('Fri',), "
-     "truthful_days=mappingproxy({'R1': frozenset({'Fri'})}))", False, False),
+     "truthful_days=mappingproxy({'R1': frozenset({'Fri'})}))", True, False),
     (KFormula, ("kind", "day", "source", "participant", "participants"),
      ("brd", None, "R1", "A", frozenset()),
      ("win", "Fri", "R2", "B", frozenset({"A"})),
@@ -183,3 +188,17 @@ def test_kformula_defaults():
 def test_rule_application_defaults_to_no_implicit_hop():
     assert RuleApplication("UserData", (), _F).implicit == ()
     assert RuleApplication("UserData", (), _F) == _STEP
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_typing():
+    # a fresh interpreter without the site module, so only what the package
+    # itself imports is loaded; each of these costs milliseconds per start
+    src = str(Path(proofinfo.__file__).parent.parent)
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import proofinfo.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "[]\n"
