@@ -65,7 +65,9 @@ class _Record:
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
-        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        cls._fields = cls.__match_args__ = tuple(
+            name for name in cls.__slots__ if not name.startswith("_")
+        )
         # every record has two or more fields, so this returns a tuple
         cls._values = attrgetter(*cls._fields)
         if "_key" not in vars(cls):
@@ -116,8 +118,9 @@ class Proof(_Record):
 
 
 def _mask(positions: list[int], size: int) -> int:
-    """The int with the bits at `positions`, all below `size`, set: built in
-    one pass, not by OR-ing a growing int once per position."""
+    """The int with the bits at `positions`, all below `size`, set; one row
+    of binary digits costs O(size), where OR-ing a bit at a time into an
+    int of up to `size` bits costs O(size) per position."""
     digits = bytearray(b"0") * size  # digits[i] is bit i
     for pos in positions:
         digits[pos] = 49  # ord("1")

@@ -412,32 +412,8 @@ def test_profile_witness_table_over_budget_exits_2(tmp_path, capsys):
     assert "would hold 8390656 formulas, over the budget of 8388608" in err
 
 
-# ---- malformed JSON ---------------------------------------------------------------
+# ---- unwritable streams -----------------------------------------------------------
 
-
-class _FailingStdout:
-    """A stdout whose `write` or `flush` fails as on a full disk."""
-
-    def __init__(self, failing):
-        self.failing = failing
-
-    def write(self, text):
-        if self.failing == "write":
-            raise OSError(28, "No space left on device")
-        return len(text)
-
-    def flush(self):
-        if self.failing == "flush":
-            raise OSError(28, "No space left on device")
-
-
-@pytest.mark.parametrize("failing", ["write", "flush"])
-def test_unwritable_report_exits_3(capsys, monkeypatch, failing):
-    monkeypatch.setattr(sys, "stdout", _FailingStdout(failing))
-    assert main(["demo"]) == 3
-    assert capsys.readouterr().err == (
-        "error: cannot write the report: [Errno 28] No space left on device\n"
-    )
 
 class _BreakingStream:
     """A text stream whose `fail_at`-th write or flush raises `error`, and, if
@@ -460,6 +436,16 @@ class _BreakingStream:
 
     def flush(self):
         self._call()
+
+
+@pytest.mark.parametrize("failing", ["write", "flush"])
+def test_unwritable_report_exits_3(capsys, monkeypatch, failing):
+    # the report is one write and then one flush
+    monkeypatch.setattr(sys, "stdout", _BreakingStream({"write": 1, "flush": 2}[failing]))
+    assert main(["demo"]) == 3
+    assert capsys.readouterr().err == (
+        "error: cannot write the report: [Errno 28] No space left on device\n"
+    )
 
 
 # inputs each command completes and inputs it refuses; demo reads no input,
@@ -500,6 +486,8 @@ def test_exit_code_survives_failing_streams(monkeypatch, argv):
                     # only a report that cannot be written changes the code
                     assert code == (3 if stdout.raised else clean), (k_out, k_err, error)
 
+
+# ---- malformed JSON ---------------------------------------------------------------
 
 def test_deeply_nested_json_exits_3(tmp_path, capsys):
     path = tmp_path / "deep.json"

@@ -115,6 +115,7 @@ def test_positional_and_keyword_construction_agree(
     by_position = cls(*values)
     by_keyword = cls(**dict(zip(names, values)))
     assert type(by_keyword) is cls
+    assert cls.__match_args__ == names
     assert by_position == by_keyword
     assert not by_position != by_keyword
     for name, value in zip(names, values):
