@@ -626,13 +626,11 @@ class ProofListing(_Record):
 
 
 class EnumerationResult(_Record):
+    """The enumerated proofs, and the participants derived both to win and not to win."""
+
     __slots__ = ("proofs", "contradictions")
 
-    def __init__(
-        self,
-        proofs: tuple[ProofListing, ...],
-        contradictions: tuple[str, ...],  # participants derived both to win and not to win
-    ) -> None:
+    def __init__(self, proofs: tuple[ProofListing, ...], contradictions: tuple[str, ...]) -> None:
         object.__setattr__(self, "proofs", proofs)
         object.__setattr__(self, "contradictions", contradictions)
 
