@@ -123,9 +123,7 @@ def test_positional_and_keyword_construction_agree(
 
 
 @each_record
-def test_each_field_takes_part_in_equality(
-    cls, names, values, others, text, hashable, picklable
-):
+def test_each_field_takes_part_in_equality(cls, names, values, others, text, hashable, picklable):
     sample = cls(*values)
     for i in range(len(names)):
         changed = cls(*values[:i], others[i], *values[i + 1:])
@@ -134,16 +132,12 @@ def test_each_field_takes_part_in_equality(
 
 
 @each_record
-def test_repr(
-    cls, names, values, others, text, hashable, picklable
-):
+def test_repr(cls, names, values, others, text, hashable, picklable):
     assert repr(cls(*values)) == text
 
 
 @each_record
-def test_equal_values_hash_equal(
-    cls, names, values, others, text, hashable, picklable
-):
+def test_equal_values_hash_equal(cls, names, values, others, text, hashable, picklable):
     a, b = cls(*values), cls(**dict(zip(names, values)))
     if hashable:
         assert hash(a) == hash(b)
@@ -154,9 +148,7 @@ def test_equal_values_hash_equal(
 
 
 @each_record
-def test_fields_cannot_be_set_or_deleted(
-    cls, names, values, others, text, hashable, picklable
-):
+def test_fields_cannot_be_set_or_deleted(cls, names, values, others, text, hashable, picklable):
     sample = cls(*values)
     for name in (*names, "extra"):
         with pytest.raises(AttributeError):
@@ -167,9 +159,7 @@ def test_fields_cannot_be_set_or_deleted(
 
 
 @each_record
-def test_copy_and_pickle_round_trip(
-    cls, names, values, others, text, hashable, picklable
-):
+def test_copy_and_pickle_round_trip(cls, names, values, others, text, hashable, picklable):
     sample = cls(*values)
     copied = copy.copy(sample)
     assert type(copied) is cls and copied == sample
