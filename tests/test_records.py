@@ -183,13 +183,14 @@ def test_rule_application_defaults_to_no_implicit_hop():
 
 def test_cli_import_loads_no_dataclasses_inspect_or_typing():
     # a fresh interpreter without the site module, so only what the package
-    # itself imports is loaded; each of these costs milliseconds per start
+    # itself imports is loaded (each of these costs milliseconds per start);
+    # -B keeps it from writing bytecode into the source tree
     src = str(Path(proofinfo.__file__).parent.parent)
     code = (
         f"import sys; sys.path.insert(0, {src!r}); import proofinfo.cli; "
         "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
     )
     done = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True
+        [sys.executable, "-I", "-S", "-B", "-c", code], capture_output=True, text=True, check=True
     )
     assert done.stdout == "[]\n"
