@@ -214,6 +214,10 @@ class KFormula(_Record):
             text = "∨".join(_FORMS["win"][0].format(participant=p) for p in sorted(participants))
         object.__setattr__(self, "_text", text)
 
+    def __hash__(self) -> int:
+        # equal fields build equal text, and a str keeps its hash once computed
+        return hash(self._text)
+
     def text(self) -> str:
         return self._text
 

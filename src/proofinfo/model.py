@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import re
-from collections import Counter, defaultdict
+from collections import Counter
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from operator import attrgetter
@@ -74,6 +74,8 @@ class _Record:
             cls._key = cls._values
 
     def __eq__(self, other: object) -> bool:
+        if other is self:
+            return True
         if other.__class__ is self.__class__:
             return self._key(self) == other._key(other)
         return NotImplemented
@@ -115,16 +117,6 @@ class Proof(_Record):
 
     def __len__(self) -> int:
         return len(self.formulas)
-
-
-def _mask(positions: list[int], size: int) -> int:
-    """The int with the bits at `positions`, all below `size`, set; one row
-    of binary digits costs O(size), where OR-ing a bit at a time into an
-    int of up to `size` bits costs O(size) per position."""
-    digits = bytearray(b"0") * size  # digits[i] is bit i
-    for pos in positions:
-        digits[pos] = 49  # ord("1")
-    return int(digits[::-1], 2)
 
 
 class KnowledgeSystem:
@@ -175,8 +167,7 @@ class KnowledgeSystem:
 
         built: list[Proof] = []
         classes: dict[str, list[str]] = {g: [] for g in goal_list}
-        # each formula's positions in `built`, made into its mask at the end
-        rows: defaultdict[str, list[int]] = defaultdict(list)
+        formula_masks: dict[str, int] = {}
         # each distinct string once (large systems repeat a few dozen); a
         # non-string still goes to normalize_formula, whose error it gets
         normalized: dict[str, str] = {}
@@ -189,24 +180,15 @@ class KnowledgeSystem:
                 raise DuplicateProofIdError(f"proof id {pid!r} used twice")
             seen_ids.add(pid)
 
-            # the readers pass lists, whose strings are mostly cached; a miss,
-            # a non-string or another iterable takes the loop, and its error
-            listing = None
-            if isinstance(raw_formulas, list):
-                try:
-                    listing = [normalized[raw] for raw in raw_formulas]
-                except (KeyError, TypeError):
-                    pass
-            if listing is None:
-                listing = []
-                for pos, raw in enumerate(raw_formulas):
-                    text = normalized.get(raw) if isinstance(raw, str) else None
-                    if text is None:
-                        try:
-                            text = normalized[raw] = normalize_formula(raw)
-                        except EmptyFormulaError as exc:
-                            raise EmptyFormulaError(f"proof {pid!r}, formulas[{pos}]: {exc}") from exc
-                    listing.append(text)
+            listing: list[str] = []
+            for pos, raw in enumerate(raw_formulas):
+                text = normalized.get(raw) if isinstance(raw, str) else None
+                if text is None:
+                    try:
+                        text = normalized[raw] = normalize_formula(raw)
+                    except EmptyFormulaError as exc:
+                        raise EmptyFormulaError(f"proof {pid!r}, formulas[{pos}]: {exc}") from exc
+                listing.append(text)
             body = frozenset(listing)
             if not body:
                 raise NoGoalInProofError(f"proof {pid!r} contains no formulas")
@@ -225,9 +207,8 @@ class KnowledgeSystem:
                     f"proofs {seen_bodies[body]!r} and {pid!r} have identical formula sets"
                 )
             seen_bodies[body] = pid
-            index = len(built)
             for f in body:
-                rows[f].append(index)
+                formula_masks[f] = formula_masks.get(f, 0) | 1 << len(built)
             (goal,) = goals_in
             classes[goal].append(pid)
             built.append(Proof(pid, body, goal, tuple(listing)))
@@ -235,7 +216,6 @@ class KnowledgeSystem:
         for g, members in classes.items():
             if not members:
                 raise UncoveredGoalError(f"goal {g!r} appears in no proof")
-        formula_masks = {f: _mask(positions, len(built)) for f, positions in rows.items()}
         # bypasses __setattr__, which refuses every later change
         vars(self).update(
             goals=tuple(goal_list),
