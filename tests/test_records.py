@@ -1,13 +1,15 @@
 """The package's immutable record types behave as value objects.
 
 Each record is built positionally and by keyword, compares and hashes by its
-fields, prints a fixed repr, refuses changes, and survives copy and pickle.
+fields, prints a fixed repr, refuses changes, keeps read-only copies of its
+mapping arguments, and survives copy and pickle; so does a knowledge system.
 """
 
 import copy
 import pickle
 import subprocess
 import sys
+from collections.abc import Mapping
 from fractions import Fraction
 from pathlib import Path
 from types import MappingProxyType
@@ -19,6 +21,7 @@ from proofinfo import (
     CheckedProof,
     EnumerationResult,
     KFormula,
+    KnowledgeSystem,
     ProbabilityMeasure,
     Proof,
     ProofListing,
@@ -27,6 +30,9 @@ from proofinfo import (
     WeightProfile,
     WeightResult,
     WorldSpec,
+    builtin_example,
+    parse_knowledge_system,
+    serialize_knowledge_system,
 )
 
 _F = KFormula("brd", None, "R1", "A", frozenset())
@@ -39,24 +45,23 @@ def _proxy(**items):
 
 
 # (type, field names, a sample's values, other values for each field, the
-#  sample's repr, whether it is hashable, whether it pickles); a read-only
-#  mapping field can be neither hashed nor pickled, except that a world
-#  hashes its schedules' items
+#  sample's repr, whether it is hashable); a read-only mapping field cannot be
+#  hashed, except that a world hashes its schedules' items
 RECORDS = [
     (Proof, ("id", "formulas", "goal", "listing"),
      ("P1", frozenset({"a"}), "a", ("a",)),
      ("P2", frozenset({"b"}), "b", ("b",)),
-     "Proof(id='P1', formulas=frozenset({'a'}), goal='a', listing=('a',))", True, True),
+     "Proof(id='P1', formulas=frozenset({'a'}), goal='a', listing=('a',))", True),
     (ProbabilityMeasure, ("per_proof", "per_goal"),
      (_proxy(P1=Fraction(1, 2)), _proxy(g=Fraction(1))),
      (_proxy(P1=Fraction(1, 3)), _proxy(h=Fraction(1))),
      "ProbabilityMeasure(per_proof=mappingproxy({'P1': Fraction(1, 2)}), "
-     "per_goal=mappingproxy({'g': Fraction(1, 1)}))", False, False),
+     "per_goal=mappingproxy({'g': Fraction(1, 1)}))", False),
     (Support, ("proofs", "per_goal_mass", "total_mass"),
      (frozenset({"P1"}), _proxy(g=Fraction(1, 2)), Fraction(1, 2)),
      (frozenset(), _proxy(g=Fraction(0)), Fraction(0)),
      "Support(proofs=frozenset({'P1'}), per_goal_mass=mappingproxy({'g': Fraction(1, 2)}), "
-     "total_mass=Fraction(1, 2))", False, False),
+     "total_mass=Fraction(1, 2))", False),
     (WeightResult,
      ("value", "per_goal_terms", "support_size", "certain", "empty_support", "support_ids",
       "total_mass"),
@@ -64,54 +69,61 @@ RECORDS = [
      (0.0, _proxy(g=Fraction(0)), 0, True, True, frozenset(), Fraction(0)),
      "WeightResult(value=0.5, per_goal_terms=mappingproxy({'g': Fraction(1, 2)}), "
      "support_size=1, certain=False, empty_support=False, support_ids=frozenset({'P1'}), "
-     "total_mass=Fraction(1, 2))", False, False),
+     "total_mass=Fraction(1, 2))", False),
     (WeightProfile,
      ("proof_id", "max_weights", "witnesses", "certainty_threshold", "average_weight",
       "average_speed"),
      ("P1", (1.0, 0.0), ((), ("a",)), 1, 0.0, 0.0),
      ("P2", (1.0, 0.5), ((), ("b",)), 2, 0.5, 0.5),
      "WeightProfile(proof_id='P1', max_weights=(1.0, 0.0), witnesses=((), ('a',)), "
-     "certainty_threshold=1, average_weight=0.0, average_speed=0.0)", True, True),
+     "certainty_threshold=1, average_weight=0.0, average_speed=0.0)", True),
     (WorldSpec, ("participants", "day_domain", "truthful_days"),
      (("A", "B"), ("Fri",), {"R1": frozenset({"Fri"})}),
      (("A", "C"), ("Fri", "Sat"), {"R1": frozenset()}),
      "WorldSpec(participants=('A', 'B'), day_domain=('Fri',), "
-     "truthful_days=mappingproxy({'R1': frozenset({'Fri'})}))", True, False),
+     "truthful_days=mappingproxy({'R1': frozenset({'Fri'})}))", True),
     (KFormula, ("kind", "day", "source", "participant", "participants"),
      ("brd", None, "R1", "A", frozenset()),
      ("win", "Fri", "R2", "B", frozenset({"A"})),
-     "KFormula(Brd(R1,A))", True, True),
+     "KFormula(Brd(R1,A))", True),
     (RuleApplication, ("rule", "premises", "conclusion", "implicit"),
      ("UserData", (), _F, ()),
      ("Uniqueness", (0,), _G, (_G,)),
      "RuleApplication(rule='UserData', premises=(), conclusion=KFormula(Brd(R1,A)), "
-     "implicit=())", True, True),
+     "implicit=())", True),
     (CheckedProof, ("proof_id", "steps", "valid", "violations"),
      ("p", (_STEP,), True, ()),
      ("q", (), False, ((0, "no rule"),)),
      "CheckedProof(proof_id='p', steps=(RuleApplication(rule='UserData', premises=(), "
-     "conclusion=KFormula(Brd(R1,A)), implicit=()),), valid=True, violations=())", True, True),
+     "conclusion=KFormula(Brd(R1,A)), implicit=()),), valid=True, violations=())", True),
     (ProofListing, ("goal", "formulas"),
      (_F, (_F,)),
      (_G, (_F, _G)),
-     "ProofListing(goal=KFormula(Brd(R1,A)), formulas=(KFormula(Brd(R1,A)),))", True, True),
+     "ProofListing(goal=KFormula(Brd(R1,A)), formulas=(KFormula(Brd(R1,A)),))", True),
     (EnumerationResult, ("proofs", "contradictions"),
      ((ProofListing(_F, (_F,)),), ()),
      ((), ("A",)),
      "EnumerationResult(proofs=(ProofListing(goal=KFormula(Brd(R1,A)), "
-     "formulas=(KFormula(Brd(R1,A)),)),), contradictions=())", True, True),
+     "formulas=(KFormula(Brd(R1,A)),)),), contradictions=())", True),
 ]
-each_record = pytest.mark.parametrize(
-    ("cls", "names", "values", "others", "text", "hashable", "picklable"),
-    RECORDS,
-    ids=[record[0].__name__ for record in RECORDS],
+
+
+def _each(records):
+    return pytest.mark.parametrize(
+        ("cls", "names", "values", "others", "text", "hashable"),
+        records,
+        ids=[record[0].__name__ for record in records],
+    )
+
+
+each_record = _each(RECORDS)
+each_record_with_a_mapping = _each(
+    [record for record in RECORDS if any(isinstance(v, Mapping) for v in record[2])]
 )
 
 
 @each_record
-def test_positional_and_keyword_construction_agree(
-    cls, names, values, others, text, hashable, picklable
-):
+def test_positional_and_keyword_construction_agree(cls, names, values, others, text, hashable):
     by_position = cls(*values)
     by_keyword = cls(**dict(zip(names, values)))
     assert type(by_keyword) is cls
@@ -123,7 +135,7 @@ def test_positional_and_keyword_construction_agree(
 
 
 @each_record
-def test_each_field_takes_part_in_equality(cls, names, values, others, text, hashable, picklable):
+def test_each_field_takes_part_in_equality(cls, names, values, others, text, hashable):
     sample = cls(*values)
     for i in range(len(names)):
         changed = cls(*values[:i], others[i], *values[i + 1:])
@@ -132,12 +144,12 @@ def test_each_field_takes_part_in_equality(cls, names, values, others, text, has
 
 
 @each_record
-def test_repr(cls, names, values, others, text, hashable, picklable):
+def test_repr(cls, names, values, others, text, hashable):
     assert repr(cls(*values)) == text
 
 
 @each_record
-def test_equal_values_hash_equal(cls, names, values, others, text, hashable, picklable):
+def test_equal_values_hash_equal(cls, names, values, others, text, hashable):
     a, b = cls(*values), cls(**dict(zip(names, values)))
     if hashable:
         assert hash(a) == hash(b)
@@ -148,7 +160,7 @@ def test_equal_values_hash_equal(cls, names, values, others, text, hashable, pic
 
 
 @each_record
-def test_fields_cannot_be_set_or_deleted(cls, names, values, others, text, hashable, picklable):
+def test_fields_cannot_be_set_or_deleted(cls, names, values, others, text, hashable):
     sample = cls(*values)
     for name in (*names, "extra"):
         with pytest.raises(AttributeError):
@@ -159,14 +171,49 @@ def test_fields_cannot_be_set_or_deleted(cls, names, values, others, text, hasha
 
 
 @each_record
-def test_copy_and_pickle_round_trip(cls, names, values, others, text, hashable, picklable):
+def test_copy_and_pickle_round_trip(cls, names, values, others, text, hashable):
     sample = cls(*values)
-    copied = copy.copy(sample)
-    assert type(copied) is cls and copied == sample
-    if picklable:
-        restored = pickle.loads(pickle.dumps(sample))
-        assert type(restored) is cls and restored == sample
-        assert repr(restored) == text
+    for other in (copy.copy(sample), pickle.loads(pickle.dumps(sample))):
+        assert type(other) is cls and other == sample
+        assert repr(other) == text
+
+
+@each_record_with_a_mapping
+def test_mapping_arguments_are_kept_as_read_only_copies(cls, names, values, others, text, hashable):
+    given = [dict(v) if isinstance(v, Mapping) else v for v in values]
+    sample = cls(*given)
+    for name, value in zip(names, given):
+        if isinstance(value, dict):
+            kept = getattr(sample, name)
+            with pytest.raises(TypeError):
+                kept["new"] = None
+            value.clear()
+            assert kept
+    assert sample == cls(*values) and repr(sample) == text
+
+
+def test_knowledge_system_copies_and_pickles_as_an_equal_system():
+    ks = builtin_example()
+    for other in (copy.copy(ks), pickle.loads(pickle.dumps(ks))):
+        assert type(other) is KnowledgeSystem and other is not ks
+        assert other == ks and hash(other) == hash(ks)
+        assert serialize_knowledge_system(other) == serialize_knowledge_system(ks)
+        assert other._formula_masks == ks._formula_masks
+        assert other._class_masks == ks._class_masks
+
+
+def test_knowledge_systems_compare_by_goal_set_and_proof_bodies():
+    ks = builtin_example()
+    document = serialize_knowledge_system(ks)
+    document["goals"].reverse()
+    document["proofs"].reverse()
+    reordered = parse_knowledge_system(document)
+    assert reordered.proofs != ks.proofs
+    assert reordered == ks and hash(reordered) == hash(ks)
+    assert len({ks, reordered}) == 1
+    document["proofs"][0]["id"] = "QF9"
+    renamed = parse_knowledge_system(document)
+    assert renamed != ks and not renamed == ks
 
 
 def test_kformula_defaults():
