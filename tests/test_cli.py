@@ -226,10 +226,15 @@ def test_json_report_matches_golden(capsys, monkeypatch, argv, golden):
         (("check", "tests/data/world.json", "tests/data/fixture.json", "--strict"), 2,
          "check_strict_table.txt"),
         (("entropy", "--dist", "1/4,1/4,1/2"), 0, "entropy_table.txt"),
+        (("validate", "tests/data/no_formulas.json"), 2, "validate_no_formulas_table.txt"),
+        (("weight", "tests/data/fixture.json", "--subset", "Win(Bok)"), 0,
+         "weight_certain_table.txt"),
+        (("weight", "tests/data/fixture.json", "--subset", "Nope"), 0,
+         "weight_empty_support_table.txt"),
     ],
 )
 def test_table_output_matches_golden(capsys, monkeypatch, argv, code, golden):
-    # the check report names its input paths, so run from the repository root
+    # a report names its input path, so run from the repository root
     monkeypatch.chdir(Path(__file__).parent.parent)
     got, out, _ = run(capsys, *argv, "--format", "table")
     assert got == code

@@ -309,6 +309,8 @@ def test_resolve_reliability(world):
         resolve_reliability(world, "R2", [day_is("Fri"), day_not("Fri")])
     with pytest.raises(UnknownNameError):
         resolve_reliability(world, "R9", [])
+    with pytest.raises(UnknownNameError, match=r"^unknown day 'Sun' in day facts$"):
+        resolve_reliability(world, "R1", [day_is("Sun")])
 
 
 # ---- proof checking ----------------------------------------------------------

@@ -39,15 +39,6 @@ CASES = (
 
 
 @pytest.mark.parametrize(
-    ("flags", "golden"), [((), "check.json"), (("--strict",), "check_strict.json")]
-)
-def test_check_fixture_matches_golden(capsys, flags, golden):
-    main(["check", str(DATA / "world.json"), str(DATA / "fixture.json"), *flags])
-    results = json.loads(capsys.readouterr().out)["results"]
-    assert results == json.loads((GOLDEN / golden).read_text(encoding="utf-8"))
-
-
-@pytest.mark.parametrize(
     ("flags", "code", "golden"),
     [((), 0, "check_report.json"), (("--strict",), 2, "check_report_strict.json")],
 )
