@@ -63,12 +63,9 @@ class WeightProfile(_Record):
         average_weight: float,
         average_speed: float,
     ) -> None:
-        object.__setattr__(self, "proof_id", proof_id)
-        object.__setattr__(self, "max_weights", max_weights)
-        object.__setattr__(self, "witnesses", witnesses)
-        object.__setattr__(self, "certainty_threshold", certainty_threshold)
-        object.__setattr__(self, "average_weight", average_weight)
-        object.__setattr__(self, "average_speed", average_speed)
+        self._set(
+            proof_id, max_weights, witnesses, certainty_threshold, average_weight, average_speed
+        )
 
 
 def _resolve_proof(ks: KnowledgeSystem, proof: Proof | str) -> Proof:

@@ -74,24 +74,23 @@ class WorldSpec(_Record):
         day_domain: Iterable[str],
         truthful_days: Mapping[str, Iterable[str]],
     ) -> None:
-        object.__setattr__(self, "participants", tuple(participants))
-        object.__setattr__(self, "day_domain", tuple(day_domain))
-        object.__setattr__(self, "truthful_days", MappingProxyType(
-            {source: frozenset(days) for source, days in truthful_days.items()}
-        ))
-        if len(set(self.participants)) < 2:
+        participants = tuple(participants)
+        day_domain = tuple(day_domain)
+        schedules = {source: frozenset(days) for source, days in truthful_days.items()}
+        if len(set(participants)) < 2:
             raise MalformedDocumentError("a world needs at least two distinct participants")
-        if len(set(self.participants)) != len(self.participants):
+        if len(set(participants)) != len(participants):
             raise MalformedDocumentError("participants must be distinct names")
-        if len(set(self.day_domain)) != len(self.day_domain) or not self.day_domain:
+        if len(set(day_domain)) != len(day_domain) or not day_domain:
             raise MalformedDocumentError("day domain must be a non-empty set of distinct names")
-        if not self.truthful_days:
+        if not schedules:
             raise MalformedDocumentError("a world needs at least one source")
-        domain = set(self.day_domain)
-        for source, days in self.truthful_days.items():
-            stray = set(days) - domain
+        domain = set(day_domain)
+        for source, days in schedules.items():
+            stray = days - domain
             if stray:
                 raise UnknownNameError(f"source {source!r}: days {sorted(stray)} not in the day domain")
+        self._set(participants, day_domain, MappingProxyType(schedules))
 
     @staticmethod
     def _key(world: WorldSpec) -> tuple:
@@ -203,16 +202,11 @@ class KFormula(_Record):
         participant: str | None = None,
         participants: frozenset[str] = frozenset(),
     ) -> None:
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "day", day)
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "participant", participant)
-        object.__setattr__(self, "participants", participants)
         if kind in _FORMS:
             text = _FORMS[kind][0].format(day=day, source=source, participant=participant)
         else:
             text = "∨".join(_FORMS["win"][0].format(participant=p) for p in sorted(participants))
-        object.__setattr__(self, "_text", text)
+        self._set(kind, day, source, participant, participants, text)
 
     def __hash__(self) -> int:
         # equal fields build equal text, and a str keeps its hash once computed
@@ -434,10 +428,7 @@ class RuleApplication(_Record):
         conclusion: KFormula,
         implicit: tuple[KFormula, ...] = (),
     ) -> None:
-        object.__setattr__(self, "rule", rule)
-        object.__setattr__(self, "premises", premises)
-        object.__setattr__(self, "conclusion", conclusion)
-        object.__setattr__(self, "implicit", implicit)
+        self._set(rule, premises, conclusion, implicit)
 
 
 class CheckedProof(_Record):
@@ -450,10 +441,7 @@ class CheckedProof(_Record):
         valid: bool,
         violations: tuple[tuple[int, str], ...],
     ) -> None:
-        object.__setattr__(self, "proof_id", proof_id)
-        object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "valid", valid)
-        object.__setattr__(self, "violations", violations)
+        self._set(proof_id, steps, valid, violations)
 
 
 def _leading_premises(facts: _Facts, f: KFormula) -> Iterator[tuple[int, KFormula]]:
@@ -622,8 +610,7 @@ class ProofListing(_Record):
     __slots__ = ("goal", "formulas")
 
     def __init__(self, goal: KFormula, formulas: tuple[KFormula, ...]) -> None:
-        object.__setattr__(self, "goal", goal)
-        object.__setattr__(self, "formulas", formulas)
+        self._set(goal, formulas)
 
     def texts(self) -> tuple[str, ...]:
         return tuple(f.text() for f in self.formulas)
@@ -635,8 +622,7 @@ class EnumerationResult(_Record):
     __slots__ = ("proofs", "contradictions")
 
     def __init__(self, proofs: tuple[ProofListing, ...], contradictions: tuple[str, ...]) -> None:
-        object.__setattr__(self, "proofs", proofs)
-        object.__setattr__(self, "contradictions", contradictions)
+        self._set(proofs, contradictions)
 
 
 def enumerate_proofs(

@@ -20,20 +20,20 @@ from .model import _MAX_DIGITS, KnowledgeSystem, _parse_probability, _printable,
 
 
 class ProbabilityMeasure(_Record):
-    """Exact per-proof and per-goal masses, as read-only mappings."""
+    """Exact per-proof and per-goal masses, as read-only copies of the mappings given."""
 
     __slots__ = ("per_proof", "per_goal")
 
     def __init__(self, per_proof: Mapping[str, Fraction], per_goal: Mapping[str, Fraction]) -> None:
-        object.__setattr__(self, "per_proof", per_proof)
-        object.__setattr__(self, "per_goal", per_goal)
+        self._set(MappingProxyType(dict(per_proof)), MappingProxyType(dict(per_goal)))
 
 
 class Support(_Record):
     """The proofs containing a formula subset, with their exact masses.
 
-    per_goal_mass is read-only, keyed in goal order; total_mass is its sum,
-    which is the mass of the member proofs since each proof has one goal.
+    per_goal_mass is a read-only copy of the mapping given, keyed in goal
+    order; total_mass is its sum, which is the mass of the member proofs
+    since each proof has one goal.
     """
 
     __slots__ = ("proofs", "per_goal_mass", "total_mass")
@@ -41,17 +41,15 @@ class Support(_Record):
     def __init__(
         self, proofs: frozenset[str], per_goal_mass: Mapping[str, Fraction], total_mass: Fraction
     ) -> None:
-        object.__setattr__(self, "proofs", proofs)
-        object.__setattr__(self, "per_goal_mass", per_goal_mass)
-        object.__setattr__(self, "total_mass", total_mass)
+        self._set(proofs, MappingProxyType(dict(per_goal_mass)), total_mass)
 
 
 def proof_measure(ks: KnowledgeSystem) -> ProbabilityMeasure:
     """The maximum-uncertainty measure: mass 1/(M * class size) per proof."""
     # the proofs of one class share one value
     share = {g: Fraction(1, ks.M * len(members)) for g, members in ks.classes.items()}
-    per_proof = MappingProxyType({p.id: share[p.goal] for p in ks.proofs})
-    per_goal = MappingProxyType({g: Fraction(1, ks.M) for g in ks.goals})
+    per_proof = {p.id: share[p.goal] for p in ks.proofs}
+    per_goal = {g: Fraction(1, ks.M) for g in ks.goals}
     return ProbabilityMeasure(per_proof=per_proof, per_goal=per_goal)
 
 
@@ -112,9 +110,7 @@ def _support(ks: KnowledgeSystem, mask: int, denominator: int, masses: list[int]
     """The Support of `mask`, from its per-goal masses times `denominator`."""
     return Support(
         proofs=_mask_ids(ks, mask),
-        per_goal_mass=MappingProxyType({
-            g: Fraction(n, denominator) for g, n in zip(ks.goals, masses)
-        }),
+        per_goal_mass={g: Fraction(n, denominator) for g, n in zip(ks.goals, masses)},
         total_mass=Fraction(sum(masses), denominator),
     )
 

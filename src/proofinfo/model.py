@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 from fractions import Fraction
 from operator import attrgetter
 from pathlib import Path
@@ -52,14 +52,16 @@ def normalize_formula(raw: str) -> str:
 
 
 class _Record:
-    """Base of the package's immutable records.
+    """Base of the package's immutable objects.
 
     A record names its fields in `__slots__`, in constructor order (a slot
     named with a leading "_" holds derived state, not a field), and its
-    `__init__` sets each slot with object.__setattr__. Records of one class
-    compare and hash by their field values, or by what `_key` returns if the
-    class defines it; they print as Class(field=value, ...), refuse every
-    change, and copy and pickle by calling the class on their field values.
+    `__init__` ends in one `_set` call with a value for every slot, which is
+    the only write that gets past the refusing `__setattr__`. Records of one
+    class compare and hash by their field values, or by what `_key` returns
+    if the class defines it; they print as Class(field=value, ...), refuse
+    every change, and copy and pickle by calling the class on their field
+    values, each read-only mapping passed as a plain dict.
     """
 
     __slots__ = ()
@@ -70,8 +72,14 @@ class _Record:
         )
         # every record has two or more fields, so this returns a tuple
         cls._values = attrgetter(*cls._fields)
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
         if "_key" not in vars(cls):
             cls._key = cls._values
+
+    def _set(self, *values: object) -> None:
+        """Store one value per slot, in `__slots__` order."""
+        for setter, value in zip(self._setters, values):
+            setter(self, value)
 
     def __eq__(self, other: object) -> bool:
         if other is self:
@@ -94,7 +102,9 @@ class _Record:
         raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
 
     def __reduce__(self) -> tuple[type, tuple]:
-        return type(self), self._values(self)
+        return type(self), tuple(
+            dict(v) if isinstance(v, MappingProxyType) else v for v in self._values(self)
+        )
 
 
 class Proof(_Record):
@@ -110,16 +120,13 @@ class Proof(_Record):
     def __init__(
         self, id: str, formulas: frozenset[str], goal: str, listing: tuple[str, ...]
     ) -> None:
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "formulas", formulas)
-        object.__setattr__(self, "goal", goal)
-        object.__setattr__(self, "listing", listing)
+        self._set(id, formulas, goal, listing)
 
     def __len__(self) -> int:
         return len(self.formulas)
 
 
-class KnowledgeSystem:
+class KnowledgeSystem(_Record):
     """Validated, immutable collection of proofs with goal-class indexes.
 
     Attributes (the mappings are read-only views):
@@ -130,21 +137,19 @@ class KnowledgeSystem:
       classes:  goal -> tuple of ids of the proofs with that goal
       M:        number of goals
 
-    Setting or deleting an attribute raises AttributeError.
+    Setting or deleting an attribute raises AttributeError. Two systems are
+    equal, and hash equal, when they have the same goals and the same proof
+    ids with the same formula sets, in any order. A copy or an unpickled
+    system is built and validated again from the goals and the listings.
 
     The support index is private: _formula_masks maps each formula to the
     bitmask of the positions in `proofs` of the proofs containing it, and
     _class_masks holds each goal class's mask, in goal order.
     """
 
-    goals: tuple[str, ...]
-    goal_set: frozenset[str]
-    proofs: tuple[Proof, ...]
-    by_id: Mapping[str, Proof]
-    classes: Mapping[str, tuple[str, ...]]
-    M: int
-    _formula_masks: Mapping[str, int]
-    _class_masks: tuple[int, ...]
+    __slots__ = (
+        "goals", "goal_set", "proofs", "by_id", "classes", "M", "_formula_masks", "_class_masks",
+    )
 
     def __init__(
         self,
@@ -216,31 +221,24 @@ class KnowledgeSystem:
         for g, members in classes.items():
             if not members:
                 raise UncoveredGoalError(f"goal {g!r} appears in no proof")
-        # bypasses __setattr__, which refuses every later change
-        vars(self).update(
-            goals=tuple(goal_list),
-            goal_set=goal_set,
-            proofs=tuple(built),
-            by_id=MappingProxyType({p.id: p for p in built}),
-            classes=MappingProxyType({g: tuple(members) for g, members in classes.items()}),
-            M=len(goal_list),
-            _formula_masks=MappingProxyType(formula_masks),
+        self._set(
+            tuple(goal_list),
+            goal_set,
+            tuple(built),
+            MappingProxyType({p.id: p for p in built}),
+            MappingProxyType({g: tuple(members) for g, members in classes.items()}),
+            len(goal_list),
+            MappingProxyType(formula_masks),
             # a proof contains a goal exactly when that goal is its own
-            _class_masks=tuple(formula_masks[g] for g in goal_list),
+            tuple(formula_masks[g] for g in goal_list),
         )
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"KnowledgeSystem is immutable; cannot set {name!r}")
+    @staticmethod
+    def _key(ks: KnowledgeSystem) -> tuple:
+        return ks.goal_set, frozenset((p.id, p.formulas) for p in ks.proofs)
 
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"KnowledgeSystem is immutable; cannot delete {name!r}")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, KnowledgeSystem):
-            return NotImplemented
-        return self.goal_set == other.goal_set and {
-            p.id: p.formulas for p in self.proofs
-        } == {p.id: p.formulas for p in other.proofs}
+    def __reduce__(self) -> tuple[type, tuple]:
+        return KnowledgeSystem, (self.goals, [(p.id, p.listing) for p in self.proofs])
 
     def __repr__(self) -> str:
         return f"KnowledgeSystem(goals={len(self.goals)}, proofs={len(self.proofs)})"

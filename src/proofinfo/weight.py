@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
+from types import MappingProxyType
 
 from .measure import ProbabilityMeasure, _goal_masses, _mass_groups, _support, _support_mask
 from .model import KnowledgeSystem, _Record
@@ -39,13 +40,10 @@ class WeightResult(_Record):
         support_ids: frozenset[str],
         total_mass: Fraction,
     ) -> None:
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "per_goal_terms", per_goal_terms)
-        object.__setattr__(self, "support_size", support_size)
-        object.__setattr__(self, "certain", certain)
-        object.__setattr__(self, "empty_support", empty_support)
-        object.__setattr__(self, "support_ids", support_ids)
-        object.__setattr__(self, "total_mass", total_mass)
+        self._set(
+            value, MappingProxyType(dict(per_goal_terms)), support_size, certain, empty_support,
+            support_ids, total_mass,
+        )
 
 
 def _structural_zero(ks: KnowledgeSystem, mask: int) -> bool:
