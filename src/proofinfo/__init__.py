@@ -13,8 +13,6 @@ __version__ = "0.1.0"
 from . import errors
 from .convergence import (
     WeightProfile,
-    average_speed,
-    average_weight,
     certainty_threshold,
     max_subset_weight,
     profile,
@@ -44,7 +42,6 @@ from .kernel import (
 from .measure import (
     ProbabilityMeasure,
     Support,
-    goal_class,
     proof_measure,
     shannon_entropy,
     support,
@@ -75,7 +72,6 @@ __all__ = [
     # measure
     "ProbabilityMeasure",
     "Support",
-    "goal_class",
     "proof_measure",
     "shannon_entropy",
     "support",
@@ -86,8 +82,6 @@ __all__ = [
     "weight",
     # convergence
     "WeightProfile",
-    "average_speed",
-    "average_weight",
     "certainty_threshold",
     "max_subset_weight",
     "profile",

@@ -46,7 +46,12 @@ class WeightProfile(_Record):
     k = 0..len(proof); witnesses[k] is the lexicographically first subset
     attaining it. certainty_threshold is the smallest k with a structural
     zero across all size-k subsets, 1 + the largest overlap with a proof of
-    another goal; every size from it up weighs 0.0.
+    another goal; every size from it up weighs 0.0. average_weight is the
+    mean of max_weights[1:]. average_speed is the mean per-step drop
+    max_weights[i] - max_weights[i+1] for i = 1..threshold-1, which
+    telescopes to max_weights[1] / (threshold - 1); a threshold of 1 means
+    the proof is certain from its first formula, leaves no step to average
+    over, and gives a speed of 0.
     """
 
     __slots__ = (
@@ -107,30 +112,6 @@ def certainty_threshold(ks: KnowledgeSystem, proof: Proof | str) -> int:
     p = _resolve_proof(ks, proof)
     others = (len(p.formulas & q.formulas) for q in ks.proofs if q.goal != p.goal)
     return 1 + max(others, default=0)
-
-
-def average_weight(
-    ks: KnowledgeSystem,
-    measure: ProbabilityMeasure,
-    proof: Proof | str,
-) -> float:
-    """Mean worst-case weight over subset sizes 1..len(proof)."""
-    return profile(ks, measure, proof).average_weight
-
-
-def average_speed(
-    ks: KnowledgeSystem,
-    measure: ProbabilityMeasure,
-    proof: Proof | str,
-) -> float:
-    """Mean per-step drop of the worst-case weight up to the certainty threshold.
-
-    Averages max_weights[i] - max_weights[i+1] for i = 1..threshold-1 (this
-    telescopes to max_weights[1] / (threshold - 1), kept as a cross-check in
-    the tests). A threshold of 1 means the proof is certain from its first
-    formula; there is no step to average over, so the speed is defined as 0.
-    """
-    return profile(ks, measure, proof).average_speed
 
 
 def profile(

@@ -42,10 +42,6 @@ class UncoveredGoalError(ProofInfoError):
 
 # ---- measure / weight / profile --------------------------------------------
 
-class UnknownGoalError(ProofInfoError):
-    """A formula was used as a goal but is not one."""
-
-
 class NotADistributionError(ProofInfoError):
     """Probabilities are negative or do not sum to one exactly."""
 

@@ -628,25 +628,22 @@ class EnumerationResult(_Record):
 def enumerate_proofs(
     world: WorldSpec,
     user_data: Iterable[KFormula],
-    goal_pred: Callable[[str], bool] | None = None,
     max_steps: int = 100,
     include_disjunctive: bool = False,
 ) -> EnumerationResult:
     """Forward-chain from user data and emit one proof per derivable winner.
 
     Derives every formula reachable within max_steps rule applications, then
-    reconstructs, for each derived Win(a) passing goal_pred, the listing of
-    the user data and intermediate formulas its first derivation used. The
-    listings are fully explicit and re-check in strict mode. Contradictions
-    (both Win(a) and ¬Win(a) derived) are reported in the result, not raised.
+    reconstructs, for each derived Win(a), the listing of the user data and
+    intermediate formulas its first derivation used. The listings are fully
+    explicit and re-check in strict mode. Contradictions (both Win(a) and
+    ¬Win(a) derived) are reported in the result, not raised.
 
     With include_disjunctive, derived disjunctions are emitted as additional
     goal listings; by default only single-winner goals count.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
-    if goal_pred is None:
-        goal_pred = lambda participant: True
 
     data = sorted(set(user_data), key=lambda f: (not _is_day_fact(f), f.text()))
     for f in data:
@@ -684,7 +681,7 @@ def enumerate_proofs(
 
     listings = [
         listing_for(facts.first[_win(p)]) for p in sorted(world.participants)
-        if _win(p) in facts.first and goal_pred(p)
+        if _win(p) in facts.first
     ]
     if include_disjunctive:
         # user data holds no disjunctions, so every one listed was derived

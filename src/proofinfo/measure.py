@@ -15,12 +15,17 @@ from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from types import MappingProxyType
 
-from .errors import NotADistributionError, UnknownGoalError
+from .errors import NotADistributionError
 from .model import _MAX_DIGITS, KnowledgeSystem, _parse_probability, _printable, _Record
 
 
 class ProbabilityMeasure(_Record):
-    """Exact per-proof and per-goal masses, as read-only copies of the mappings given."""
+    """Exact per-proof and per-goal masses, as read-only copies of the mappings given.
+
+    support, weight and profile read only per_proof, and check it there: a
+    proof of the system without a mass, a negative mass, or masses that do
+    not sum to exactly 1 raise NotADistributionError.
+    """
 
     __slots__ = ("per_proof", "per_goal")
 
@@ -53,13 +58,6 @@ def proof_measure(ks: KnowledgeSystem) -> ProbabilityMeasure:
     return ProbabilityMeasure(per_proof=per_proof, per_goal=per_goal)
 
 
-def goal_class(ks: KnowledgeSystem, goal: str) -> frozenset[str]:
-    """Ids of the proofs whose goal is `goal`."""
-    if goal not in ks.goal_set:
-        raise UnknownGoalError(f"{goal!r} is not a goal of this knowledge system")
-    return frozenset(ks.classes[goal])
-
-
 def _support_mask(ks: KnowledgeSystem, subset: Iterable[str]) -> int:
     """Bitmask, over positions in ks.proofs, of the proofs containing `subset`:
     the AND of its formulas' masks, all proofs for the empty subset."""
@@ -82,18 +80,27 @@ def _mass_groups(
 
     Returns L and one (goal position, mask, n) triple per distinct mass n/L
     among each goal's proofs, the mask holding the proofs of that goal and
-    mass; proof_measure gives one triple per goal.
+    mass; proof_measure gives one triple per goal. Raises
+    NotADistributionError unless the masses are a distribution over ks.proofs.
     """
-    masses = [measure.per_proof[p.id] for p in ks.proofs]
+    try:
+        masses = [measure.per_proof[p.id] for p in ks.proofs]
+    except KeyError as exc:
+        raise NotADistributionError(f"the measure gives proof {exc.args[0]!r} no mass") from exc
     denominator = math.lcm(*(m.denominator for m in masses))
     by_goal: dict[str, dict[int, int]] = {g: {} for g in ks.goals}
     for pos, (p, m) in enumerate(zip(ks.proofs, masses)):
         groups = by_goal[p.goal]
         n = m.numerator * (denominator // m.denominator)
         groups[n] = groups.get(n, 0) | 1 << pos
-    return denominator, tuple(
+    triples = tuple(
         (g, mask, n) for g, groups in enumerate(by_goal.values()) for n, mask in groups.items()
     )
+    if any(n < 0 for _, _, n in triples):
+        raise NotADistributionError("proof masses must be nonnegative")
+    if sum(n * mask.bit_count() for _, mask, n in triples) != denominator:
+        raise NotADistributionError("proof masses do not sum to 1")
+    return denominator, triples
 
 
 def _goal_masses(

@@ -59,9 +59,10 @@ class _Record:
     `__init__` ends in one `_set` call with a value for every slot, which is
     the only write that gets past the refusing `__setattr__`. Records of one
     class compare and hash by their field values, or by what `_key` returns
-    if the class defines it; they print as Class(field=value, ...), refuse
-    every change, and copy and pickle by calling the class on their field
-    values, each read-only mapping passed as a plain dict.
+    if the class defines it; a record whose key holds a read-only mapping
+    raises TypeError on hash. Records print as Class(field=value, ...),
+    refuse every change, and copy and pickle by calling the class on their
+    field values, each read-only mapping passed as a plain dict.
     """
 
     __slots__ = ()
@@ -121,9 +122,6 @@ class Proof(_Record):
         self, id: str, formulas: frozenset[str], goal: str, listing: tuple[str, ...]
     ) -> None:
         self._set(id, formulas, goal, listing)
-
-    def __len__(self) -> int:
-        return len(self.formulas)
 
 
 class KnowledgeSystem(_Record):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from fractions import Fraction
 from json.encoder import encode_basestring
 from collections.abc import Iterable, Sequence
 
@@ -28,10 +27,6 @@ def fmt_bits(value: float) -> str:
     if value == 0:
         value = 0.0  # never render -0.000000
     return f"{value:.6f}"
-
-
-def fmt_fraction(value: Fraction) -> str:
-    return str(value)
 
 
 def file_digest(data: bytes) -> str:
@@ -66,7 +61,7 @@ def summary_results(ks: KnowledgeSystem) -> dict:
 
 
 def measure_results(ks: KnowledgeSystem, measure: ProbabilityMeasure) -> dict:
-    return {p.id: fmt_fraction(measure.per_proof[p.id]) for p in ks.proofs}
+    return {p.id: str(measure.per_proof[p.id]) for p in ks.proofs}
 
 
 def weight_entry(
@@ -77,8 +72,8 @@ def weight_entry(
         "subset": list(subset),
         "weight_bits": fmt_bits(result.value),
         "support": sorted(result.support_ids),
-        "support_mass": fmt_fraction(result.total_mass),
-        "per_goal_mass": {g: fmt_fraction(result.per_goal_terms[g]) for g in ks.goals},
+        "support_mass": str(result.total_mass),
+        "per_goal_mass": {g: str(result.per_goal_terms[g]) for g in ks.goals},
         "certain": result.certain,
         "empty_support": result.empty_support,
     }
@@ -248,24 +243,21 @@ def _table_lines(report: dict) -> list[str]:
             )
         return lines
 
-    if command == "check":
-        for entry in results["proofs"]:
-            lines.append(f"{entry['id']}: {'valid' if entry['valid'] else 'INVALID'}")
-            for step in entry["steps"]:
-                premises = ",".join(str(j) for j in step["premises"])
-                implicit = (
-                    f" (implicit: {', '.join(step['implicit'])})" if step["implicit"] else ""
-                )
-                lines.append(
-                    f"  [{step['index']}] {step['conclusion']}  <- {step['rule']}"
-                    f"({premises}){implicit}"
-                )
-            for violation in entry["violations"]:
-                lines.append(f"  !! step {violation['index']}: {violation['reason']}")
-        return lines
-
-    # unknown command: fall back to the JSON body
-    return lines + [render_json(results).rstrip("\n")]
+    # check: argparse admits no other command
+    for entry in results["proofs"]:
+        lines.append(f"{entry['id']}: {'valid' if entry['valid'] else 'INVALID'}")
+        for step in entry["steps"]:
+            premises = ",".join(str(j) for j in step["premises"])
+            implicit = (
+                f" (implicit: {', '.join(step['implicit'])})" if step["implicit"] else ""
+            )
+            lines.append(
+                f"  [{step['index']}] {step['conclusion']}  <- {step['rule']}"
+                f"({premises}){implicit}"
+            )
+        for violation in entry["violations"]:
+            lines.append(f"  !! step {violation['index']}: {violation['reason']}")
+    return lines
 
 
 def render_table(report: dict) -> str:

@@ -20,7 +20,6 @@ from pathlib import Path
 import pytest
 
 from proofinfo import (
-    average_speed,
     brd,
     builtin_example,
     builtin_world,

@@ -7,8 +7,6 @@ import pytest
 from proofinfo import (
     KnowledgeSystem,
     convergence,
-    average_speed,
-    average_weight,
     certainty_threshold,
     is_certain,
     max_subset_weight,
@@ -186,14 +184,16 @@ def test_profile_qd2(ks, measure):
 
 
 def test_average_speed_examples(ks, measure):
-    assert average_speed(ks, measure, "QB3") == pytest.approx(QB3_AVERAGE_SPEED, abs=1e-9)
-    assert average_speed(ks, measure, "QB1") == pytest.approx(DAY_FACT_WEIGHT, abs=1e-9)
-    assert average_speed(ks, measure, "QD1") == 0.0
+    speed = {pid: profile(ks, measure, pid).average_speed for pid in ("QB3", "QB1", "QD1")}
+    assert speed["QB3"] == pytest.approx(QB3_AVERAGE_SPEED, abs=1e-9)
+    assert speed["QB1"] == pytest.approx(DAY_FACT_WEIGHT, abs=1e-9)
+    assert speed["QD1"] == 0.0
 
 
 def test_average_weight_examples(ks, measure):
-    assert average_weight(ks, measure, "QB3") == pytest.approx(QB3_AVERAGE_WEIGHT, abs=1e-9)
-    assert average_weight(ks, measure, "QD1") == 0.0
+    mean = {pid: profile(ks, measure, pid).average_weight for pid in ("QB3", "QD1")}
+    assert mean["QB3"] == pytest.approx(QB3_AVERAGE_WEIGHT, abs=1e-9)
+    assert mean["QD1"] == 0.0
 
 
 def test_single_goal_system_is_flat_zero():

@@ -494,16 +494,6 @@ def test_enumerate_respects_step_budget(world):
         enumerate_proofs(world, {brd("R1", "Bok")}, max_steps=0)
 
 
-def test_enumerate_goal_predicate_filters(world):
-    result = enumerate_proofs(
-        world,
-        {day_is("Fri"), brd("R2", "Bok")},
-        goal_pred=lambda p: p == "Dok",
-        max_steps=20,
-    )
-    assert result.proofs == ()
-
-
 def test_enumerate_disjunctive_goals_behind_flag(world):
     data = {day_not("Fri"), brd("R2", "Dok")}
     plain = enumerate_proofs(world, data, max_steps=50)

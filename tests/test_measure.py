@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from proofinfo import goal_class, proof_measure, shannon_entropy, support
-from proofinfo.errors import NotADistributionError, UnknownGoalError
+from proofinfo import ProbabilityMeasure, profile, proof_measure, shannon_entropy, support, weight
+from proofinfo.errors import NotADistributionError
 from randsys import random_subset, random_system
 
 
@@ -49,13 +49,6 @@ def test_measure_exact_on_random_systems():
             assert sum(m.per_proof[pid] for pid in ks.classes[g]) == Fraction(1, ks.M)
 
 
-def test_goal_class_examples(ks):
-    assert goal_class(ks, "Win(Dok)") == frozenset({"QD1", "QD2", "QD3"})
-    assert goal_class(ks, "Win(Fok)") == frozenset({"QF1"})
-    with pytest.raises(UnknownGoalError):
-        goal_class(ks, "Day=Fri")
-
-
 def test_support_day_fact(ks, measure):
     sup = support(ks, measure, {"Day=Fri"})
     assert sup.proofs == frozenset({"QB1", "QD2", "QD3"})
@@ -96,6 +89,27 @@ def test_support_antitone_under_growth():
         big = random_subset(rng, p.formulas)
         small = big[: rng.randint(0, len(big))]
         assert support(ks, m, big).proofs <= support(ks, m, small).proofs
+
+
+# hand-built per-proof masses that are not a distribution over the proofs
+BAD_MASSES = {
+    "missing": lambda good: {},
+    "negative": lambda good: {**good, "QB1": -good["QB1"], "QB2": good["QB2"] + 2 * good["QB1"]},
+    "sum_past_one": lambda good: dict.fromkeys(good, Fraction(1)),
+}
+READERS = {
+    "support": lambda ks, m: support(ks, m, set()),
+    "weight": lambda ks, m: weight(ks, m, set()),
+    "profile": lambda ks, m: profile(ks, m, "QB3"),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_MASSES.values(), ids=BAD_MASSES)
+@pytest.mark.parametrize("read", READERS.values(), ids=READERS)
+def test_hand_built_measure_is_checked_where_read(ks, measure, bad, read):
+    per_proof = bad(dict(measure.per_proof))
+    with pytest.raises(NotADistributionError):
+        read(ks, ProbabilityMeasure(per_proof=per_proof, per_goal=measure.per_goal))
 
 
 def test_entropy_quarter_quarter_half():

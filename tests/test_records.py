@@ -1,8 +1,9 @@
 """The package's immutable record types behave as value objects.
 
-Each record is built positionally and by keyword, compares and hashes by its
-fields, prints a fixed repr, refuses changes, keeps read-only copies of its
-mapping arguments, and survives copy and pickle; so does a knowledge system.
+Each record is built positionally and by keyword, compares by its fields and
+hashes by them unless one is a read-only mapping, prints a fixed repr, refuses
+changes, keeps read-only copies of its mapping arguments, and survives copy and
+pickle; so does a knowledge system. The package exports exactly its public names.
 """
 
 import copy
@@ -12,7 +13,7 @@ import sys
 from collections.abc import Mapping
 from fractions import Fraction
 from pathlib import Path
-from types import MappingProxyType
+from types import MappingProxyType, ModuleType
 
 import pytest
 
@@ -241,3 +242,16 @@ def test_cli_import_loads_no_dataclasses_inspect_or_typing():
         [sys.executable, "-I", "-S", "-B", "-c", code], capture_output=True, text=True, check=True
     )
     assert done.stdout == "[]\n"
+
+
+def test_all_lists_exactly_the_public_names():
+    # every public class and function the package binds, the errors module
+    # and the version, each once
+    public = {
+        name for name, value in vars(proofinfo).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    }
+    assert sorted(proofinfo.__all__) == sorted(public | {"errors", "__version__"})
+    namespace: dict = {}
+    exec("from proofinfo import *", namespace)
+    assert namespace.keys() - {"__builtins__"} == set(proofinfo.__all__)
