@@ -15,7 +15,6 @@ from pathlib import Path
 
 from . import __version__
 from .errors import (
-    EmptyFormulaError,
     NotADistributionError,
     ProofInfoError,
     ProofTooLargeError,
@@ -97,10 +96,7 @@ def _parse_subset(args: argparse.Namespace) -> list[str]:
     else:
         # comma-separated; commas inside formulas need --subset-file
         parts = [p for p in args.subset.split(",") if p.strip()] if args.subset else []
-    try:
-        return [normalize_formula(p) for p in parts]
-    except EmptyFormulaError as exc:
-        raise _Fail(EXIT_DOMAIN, str(exc)) from exc
+    return [normalize_formula(p) for p in parts]
 
 
 # ---------------------------------------------------------------------------

@@ -629,7 +629,6 @@ def enumerate_proofs(
     world: WorldSpec,
     user_data: Iterable[KFormula],
     max_steps: int = 100,
-    include_disjunctive: bool = False,
 ) -> EnumerationResult:
     """Forward-chain from user data and emit one proof per derivable winner.
 
@@ -637,10 +636,8 @@ def enumerate_proofs(
     reconstructs, for each derived Win(a), the listing of the user data and
     intermediate formulas its first derivation used. The listings are fully
     explicit and re-check in strict mode. Contradictions (both Win(a) and
-    ¬Win(a) derived) are reported in the result, not raised.
-
-    With include_disjunctive, derived disjunctions are emitted as additional
-    goal listings; by default only single-winner goals count.
+    ¬Win(a) derived) are reported in the result, not raised. Only
+    single-winner goals are listed, never derived disjunctions.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
@@ -679,12 +676,8 @@ def enumerate_proofs(
         ordered = tuple(facts.formulas[i] for i in sorted(used))
         return ProofListing(goal=facts.formulas[goal_idx], formulas=ordered)
 
-    listings = [
+    listings = tuple(
         listing_for(facts.first[_win(p)]) for p in sorted(world.participants)
         if _win(p) in facts.first
-    ]
-    if include_disjunctive:
-        # user data holds no disjunctions, so every one listed was derived
-        listings += [listing_for(i) for i, f in enumerate(facts.formulas) if f.kind == "win_disj"]
-
-    return EnumerationResult(proofs=tuple(listings), contradictions=contradictions)
+    )
+    return EnumerationResult(proofs=listings, contradictions=contradictions)

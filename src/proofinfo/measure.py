@@ -23,8 +23,9 @@ class ProbabilityMeasure(_Record):
     """Exact per-proof and per-goal masses, as read-only copies of the mappings given.
 
     support, weight and profile read only per_proof, and check it there: a
-    proof of the system without a mass, a negative mass, or masses that do
-    not sum to exactly 1 raise NotADistributionError.
+    proof of the system without a mass, a mass that is not a rational, a
+    negative mass, or masses that do not sum to exactly 1 raise
+    NotADistributionError.
     """
 
     __slots__ = ("per_proof", "per_goal")
@@ -87,7 +88,15 @@ def _mass_groups(
         masses = [measure.per_proof[p.id] for p in ks.proofs]
     except KeyError as exc:
         raise NotADistributionError(f"the measure gives proof {exc.args[0]!r} no mass") from exc
-    denominator = math.lcm(*(m.denominator for m in masses))
+    try:
+        denominator = math.lcm(*(m.denominator for m in masses))
+    except (AttributeError, TypeError) as exc:
+        # a rational's denominator is an int, so some mass is not one
+        pid, m = next(
+            (p.id, m) for p, m in zip(ks.proofs, masses)
+            if not isinstance(getattr(m, "denominator", None), int)
+        )
+        raise NotADistributionError(f"proof {pid!r} has mass {m!r}, not a rational") from exc
     by_goal: dict[str, dict[int, int]] = {g: {} for g in ks.goals}
     for pos, (p, m) in enumerate(zip(ks.proofs, masses)):
         groups = by_goal[p.goal]

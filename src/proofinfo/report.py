@@ -71,9 +71,9 @@ def weight_entry(
     return {
         "subset": list(subset),
         "weight_bits": fmt_bits(result.value),
-        "support": sorted(result.support_ids),
-        "support_mass": str(result.total_mass),
-        "per_goal_mass": {g: str(result.per_goal_terms[g]) for g in ks.goals},
+        "support": sorted(result.support.proofs),
+        "support_mass": str(result.support.total_mass),
+        "per_goal_mass": {g: str(result.support.per_goal_mass[g]) for g in ks.goals},
         "certain": result.certain,
         "empty_support": result.empty_support,
     }

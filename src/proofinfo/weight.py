@@ -9,41 +9,31 @@ once the support sits inside a single goal class.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping
-from fractions import Fraction
-from types import MappingProxyType
+from collections.abc import Iterable
 
-from .measure import ProbabilityMeasure, _goal_masses, _mass_groups, _support, _support_mask
+from .measure import (
+    ProbabilityMeasure,
+    Support,
+    _goal_masses,
+    _mass_groups,
+    _support,
+    _support_mask,
+)
 from .model import KnowledgeSystem, _Record
 
 
 class WeightResult(_Record):
-    """Weight of one subset plus the structural facts behind the number.
+    """Weight of one subset, the support it was weighed on, and the structural
+    facts behind the number.
 
     `certain` and `empty_support` are decided by set containment, never by
     comparing a float to zero; when either holds, `value` is exactly 0.0.
-    `support_ids` and `total_mass` are the support the weight was computed on.
     """
 
-    __slots__ = (
-        "value", "per_goal_terms", "support_size", "certain", "empty_support", "support_ids",
-        "total_mass",
-    )
+    __slots__ = ("value", "support", "certain", "empty_support")
 
-    def __init__(
-        self,
-        value: float,
-        per_goal_terms: Mapping[str, Fraction],
-        support_size: int,
-        certain: bool,
-        empty_support: bool,
-        support_ids: frozenset[str],
-        total_mass: Fraction,
-    ) -> None:
-        self._set(
-            value, MappingProxyType(dict(per_goal_terms)), support_size, certain, empty_support,
-            support_ids, total_mass,
-        )
+    def __init__(self, value: float, support: Support, certain: bool, empty_support: bool) -> None:
+        self._set(value, support, certain, empty_support)
 
 
 def _structural_zero(ks: KnowledgeSystem, mask: int) -> bool:
@@ -61,7 +51,8 @@ def _structural_zero(ks: KnowledgeSystem, mask: int) -> bool:
 
 def _difference_form(masses: list[int], denominator: int) -> float:
     """sum_g -m_g * log2(m_g) + T * log2(T) for the masses m_g = masses[g] / L
-    in goal order and their total T, with 0*log(0) = 0 also for a float 0.
+    in goal order and their total T, with 0*log(0) = 0 also for a float 0,
+    and 0.0 where the terms cancel to below 0: a weight is never negative.
 
     Each int/int division is correctly rounded, so every term equals the
     float of the exact Fraction mass."""
@@ -71,7 +62,7 @@ def _difference_form(masses: list[int], denominator: int) -> float:
         m = n / denominator
         if m:
             value -= m * math.log2(m)
-    return value
+    return value if value > 0.0 else 0.0
 
 
 def _weigh(
@@ -99,19 +90,13 @@ def weight(
         sum_g -m_g * log2(m_g)  +  T * log2(T)
     where m_g is the support mass inside goal class g and T their total,
     with the 0*log(0) = 0 convention. This form never divides by a zero
-    total. An empty support yields 0 with empty_support set, so a zero is
-    never mistaken for certainty.
+    total, and a value it rounds below 0 is 0.0. An empty support yields 0
+    with empty_support set, so a zero is never mistaken for certainty.
     """
     mask = _support_mask(ks, subset)
     denominator, groups = _mass_groups(ks, measure)
     sup = _support(ks, mask, denominator, _goal_masses(ks, groups, mask))
     value, settled = _weigh(ks, groups, denominator, mask)
     return WeightResult(
-        value=value,
-        per_goal_terms=sup.per_goal_mass,
-        support_size=len(sup.proofs),
-        certain=settled and mask != 0,
-        empty_support=mask == 0,
-        support_ids=sup.proofs,
-        total_mass=sup.total_mass,
+        value=value, support=sup, certain=settled and mask != 0, empty_support=mask == 0
     )

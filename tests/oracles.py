@@ -39,8 +39,9 @@ def weight_by_fractions(ks, measure, subset) -> WeightResult:
     """Same result as weight(), from support_by_class_scan's Fraction masses.
 
     The difference form sum_g -m_g * log2(m_g) + T * log2(T), term by term
-    in goal order with 0*log(0) = 0 (also for a mass whose float is 0), and
-    exactly 0.0 for a support that is empty or inside one goal class.
+    in goal order with 0*log(0) = 0 (also for a mass whose float is 0), 0.0
+    where it rounds below 0, and exactly 0.0 for a support that is empty or
+    inside one goal class.
     """
     sup = support_by_class_scan(ks, measure, subset)
     empty = not sup.proofs
@@ -55,13 +56,10 @@ def weight_by_fractions(ks, measure, subset) -> WeightResult:
             if m:
                 value -= m * math.log2(m)
     return WeightResult(
-        value=value,
-        per_goal_terms=sup.per_goal_mass,
-        support_size=len(sup.proofs),
+        value=value if value > 0.0 else 0.0,
+        support=sup,
         certain=settled and not empty,
         empty_support=empty,
-        support_ids=sup.proofs,
-        total_mass=sup.total_mass,
     )
 
 

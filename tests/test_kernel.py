@@ -494,14 +494,10 @@ def test_enumerate_respects_step_budget(world):
         enumerate_proofs(world, {brd("R1", "Bok")}, max_steps=0)
 
 
-def test_enumerate_disjunctive_goals_behind_flag(world):
+def test_enumerate_lists_only_win_goals(world):
     data = {day_not("Fri"), brd("R2", "Dok")}
-    plain = enumerate_proofs(world, data, max_steps=50)
-    assert all(p.goal.kind == "win" for p in plain.proofs)
-    flagged = enumerate_proofs(world, data, max_steps=50, include_disjunctive=True)
-    disj_goals = [p for p in flagged.proofs if p.goal.kind == "win_disj"]
-    assert disj_goals
-    assert win_disj({"Bok", "Fok"}) in [p.goal for p in disj_goals]
+    result = enumerate_proofs(world, data, max_steps=50)
+    assert all(p.goal.kind == "win" for p in result.proofs)
 
 
 def test_day_domain_extends_beyond_two_days():

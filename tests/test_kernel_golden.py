@@ -28,14 +28,9 @@ WORLD = WorldSpec(
     truthful_days={name: frozenset(days) for name, days in SOURCES.items()},
 )
 
-# (seed, max_steps, include_disjunctive): the default budget, a budget small
-# enough to cut the chaining short, and a few runs with disjunctive goals,
-# which list every derived disjunction
-CASES = (
-    *((seed, 100, False) for seed in range(24)),
-    *((seed, 6, True) for seed in range(24)),
-    *((seed, 100, True) for seed in range(4)),
-)
+# (seed, max_steps): the default budget, and a budget small enough to cut
+# the chaining short
+CASES = (*((seed, 100) for seed in range(24)), *((seed, 6) for seed in range(24)))
 
 
 @pytest.mark.parametrize(
@@ -78,15 +73,12 @@ def user_data(rng: random.Random) -> list:
 
 def enumeration_cases() -> list[dict]:
     cases = []
-    for seed, max_steps, include_disjunctive in CASES:
+    for seed, max_steps in CASES:
         data = user_data(random.Random(seed))
-        result = enumerate_proofs(
-            WORLD, data, max_steps=max_steps, include_disjunctive=include_disjunctive
-        )
+        result = enumerate_proofs(WORLD, data, max_steps=max_steps)
         cases.append({
             "seed": seed,
             "max_steps": max_steps,
-            "include_disjunctive": include_disjunctive,
             "data": sorted(f.text() for f in data),
             "proofs": [[p.goal.text(), *p.texts()] for p in result.proofs],
             "contradictions": list(result.contradictions),

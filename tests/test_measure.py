@@ -96,6 +96,8 @@ BAD_MASSES = {
     "missing": lambda good: {},
     "negative": lambda good: {**good, "QB1": -good["QB1"], "QB2": good["QB2"] + 2 * good["QB1"]},
     "sum_past_one": lambda good: dict.fromkeys(good, Fraction(1)),
+    "float": lambda good: {pid: float(m) for pid, m in good.items()},
+    "str": lambda good: {pid: str(m) for pid, m in good.items()},
 }
 READERS = {
     "support": lambda ks, m: support(ks, m, set()),
@@ -110,6 +112,12 @@ def test_hand_built_measure_is_checked_where_read(ks, measure, bad, read):
     per_proof = bad(dict(measure.per_proof))
     with pytest.raises(NotADistributionError):
         read(ks, ProbabilityMeasure(per_proof=per_proof, per_goal=measure.per_goal))
+
+
+def test_a_mass_that_is_not_a_rational_names_its_proof(ks, measure):
+    per_proof = {**measure.per_proof, "QD2": 1 / 9}
+    with pytest.raises(NotADistributionError, match="proof 'QD2' has mass 0.111"):
+        weight(ks, ProbabilityMeasure(per_proof=per_proof, per_goal=measure.per_goal), set())
 
 
 def test_entropy_quarter_quarter_half():

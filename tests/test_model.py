@@ -55,6 +55,7 @@ def test_fixture_shape():
     ks = builtin_example()
     assert ks.M == 3
     assert len(ks.proofs) == 7
+    assert repr(ks) == "KnowledgeSystem(goals=3, proofs=7)"
     assert ks.classes["Win(Bok)"] == ("QB1", "QB2", "QB3")
     assert ks.classes["Win(Dok)"] == ("QD1", "QD2", "QD3")
     assert ks.classes["Win(Fok)"] == ("QF1",)
@@ -237,7 +238,7 @@ def test_system_attributes_and_support_masses_are_read_only():
             delattr(ks, name)
     for mapping in (
         support(ks, measure, {"Day=Fri"}).per_goal_mass,
-        weight(ks, measure, {"Day=Fri"}).per_goal_terms,
+        weight(ks, measure, {"Day=Fri"}).support.per_goal_mass,
     ):
         with pytest.raises(TypeError):
             mapping["Win(Bok)"] = 0

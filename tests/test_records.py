@@ -63,14 +63,12 @@ RECORDS = [
      (frozenset(), _proxy(g=Fraction(0)), Fraction(0)),
      "Support(proofs=frozenset({'P1'}), per_goal_mass=mappingproxy({'g': Fraction(1, 2)}), "
      "total_mass=Fraction(1, 2))", False),
-    (WeightResult,
-     ("value", "per_goal_terms", "support_size", "certain", "empty_support", "support_ids",
-      "total_mass"),
-     (0.5, _proxy(g=Fraction(1, 2)), 1, False, False, frozenset({"P1"}), Fraction(1, 2)),
-     (0.0, _proxy(g=Fraction(0)), 0, True, True, frozenset(), Fraction(0)),
-     "WeightResult(value=0.5, per_goal_terms=mappingproxy({'g': Fraction(1, 2)}), "
-     "support_size=1, certain=False, empty_support=False, support_ids=frozenset({'P1'}), "
-     "total_mass=Fraction(1, 2))", False),
+    (WeightResult, ("value", "support", "certain", "empty_support"),
+     (0.5, Support(frozenset({"P1"}), _proxy(g=Fraction(1, 2)), Fraction(1, 2)), False, False),
+     (0.0, Support(frozenset(), _proxy(g=Fraction(0)), Fraction(0)), True, True),
+     "WeightResult(value=0.5, support=Support(proofs=frozenset({'P1'}), "
+     "per_goal_mass=mappingproxy({'g': Fraction(1, 2)}), total_mass=Fraction(1, 2)), "
+     "certain=False, empty_support=False)", False),
     (WeightProfile,
      ("proof_id", "max_weights", "witnesses", "certainty_threshold", "average_weight",
       "average_speed"),

@@ -5,14 +5,22 @@ from types import MappingProxyType
 
 import pytest
 
-from proofinfo import KnowledgeSystem, ProbabilityMeasure, is_certain, proof_measure, weight
+from proofinfo import (
+    KnowledgeSystem,
+    ProbabilityMeasure,
+    is_certain,
+    profile,
+    proof_measure,
+    weight,
+)
+from proofinfo.report import weight_entry
 from frozen import (
     DAY_FACT_WEIGHT,
     PAIR_WEIGHT,
     SINGLE_BROADCAST_WEIGHT,
     TRIPLE_WEIGHT,
 )
-from oracles import weight_ratio_form
+from oracles import profile_exhaustive, weight_ratio_form
 from randsys import random_subset, random_system
 
 
@@ -31,20 +39,20 @@ def test_worked_weights(ks, measure):
 
 def test_worked_per_goal_masses(ks, measure):
     res = weight(ks, measure, {"Brd(R2,Dok)"})
-    assert res.per_goal_terms == {
+    assert res.support.per_goal_mass == {
         "Win(Bok)": Fraction(2, 9),
         "Win(Dok)": Fraction(2, 9),
         "Win(Fok)": Fraction(1, 3),
     }
-    assert res.support_size == 5
+    assert len(res.support.proofs) == 5
     res = weight(ks, measure, {"Day≠Fri", "Brd(R2,Dok)"})
-    assert res.per_goal_terms == {
+    assert res.support.per_goal_mass == {
         "Win(Bok)": Fraction(2, 9),
         "Win(Dok)": Fraction(0),
         "Win(Fok)": Fraction(1, 3),
     }
     res = weight(ks, measure, {"Day≠Fri", "Brd(R2,Dok)", "Win(Bok)∨Win(Fok)"})
-    assert res.per_goal_terms == {
+    assert res.support.per_goal_mass == {
         "Win(Bok)": Fraction(1, 9),
         "Win(Dok)": Fraction(0),
         "Win(Fok)": Fraction(1, 3),
@@ -66,7 +74,7 @@ def test_empty_support_flagged_not_certain(ks, measure):
     assert res.value == 0.0
     assert res.empty_support
     assert not res.certain
-    assert res.support_size == 0
+    assert len(res.support.proofs) == 0
 
 
 @pytest.mark.parametrize("tiny", [Fraction(0), Fraction(1, 10**400)])
@@ -83,6 +91,18 @@ def test_support_of_float_zero_masses_weighs_zero(tiny):
     assert res.value == 0.0
     assert res.certain is False
     assert res.empty_support is False
+
+
+def test_weight_never_rounds_below_zero():
+    # the two log terms of the support of "a" cancel to -4.7e-17 in floats
+    ks = KnowledgeSystem(goals=["g", "h"], proofs=[("P1", ["g", "a"]), ("P2", ["h", "a"]), ("P3", ["g"])])
+    p1, p2 = Fraction(9967581835502643117, 10**20), Fraction(13, 10**20)
+    measure = ProbabilityMeasure(
+        per_proof={"P1": p1, "P2": p2, "P3": 1 - p1 - p2}, per_goal={"g": 1 - p2, "h": p2}
+    )
+    assert weight(ks, measure, ["a"]).value >= 0.0
+    assert weight_entry(ks, measure, ["a"])["weight_bits"] == "0.000000"
+    assert profile(ks, measure, "P1") == profile_exhaustive(ks, measure, "P1")
 
 
 def test_is_certain_examples(ks, measure):
