@@ -223,6 +223,8 @@ def test_json_report_matches_golden(capsys, monkeypatch, argv, golden):
     ("argv", "code", "golden"),
     [
         (("demo",), 0, "demo_table.txt"),
+        (("profile", "tests/data/fixture.json", "--all"), 0, "profile_fixture_table.txt"),
+        (("check", "tests/data/world.json", "tests/data/fixture.json"), 0, "check_table.txt"),
         (("check", "tests/data/world.json", "tests/data/fixture.json", "--strict"), 2,
          "check_strict_table.txt"),
         (("entropy", "--dist", "1/4,1/4,1/2"), 0, "entropy_table.txt"),
