@@ -19,7 +19,7 @@ from .errors import (
     SizeOutOfRangeError,
     UnknownProofIdError,
 )
-from .measure import ProbabilityMeasure, _mass_groups, _support_mask
+from .measure import ProbabilityMeasure, _require_system, _support_mask
 from .model import KnowledgeSystem, Proof, _Record
 from .weight import _weigh, weight
 
@@ -131,6 +131,7 @@ def profile(
     averages start at size 1. The node budget is the one bound: over
     MAX_SEARCH_NODES witness formulas or visited subsets raise ProofTooLargeError.
     """
+    _require_system(ks, measure)
     p = _resolve_proof(ks, proof)
     n = len(p.formulas)
     # one witness of k formulas per size k, charged to the same budget
@@ -149,7 +150,6 @@ def profile(
     z = certainty_threshold(ks, p)
     items = sorted(p.formulas)
     item_masks = [ks._formula_masks[f] for f in items]
-    denominator, groups = _mass_groups(ks, measure)
     best = [-math.inf] * z + [0.0] * (n + 1 - z)
     witness: list[tuple[str, ...]] = [()] * z + [tuple(items[:k]) for k in range(z, n + 1)]
     # the visited subset is items[i] for i in path, and masks[d] is the support
@@ -165,7 +165,7 @@ def profile(
                 f"subsets ({nodes} visited)"
             )
         size, start = len(path), (path[-1] + 1 if path else 0)
-        value, settled = _weigh(ks, groups, denominator, masks[-1])
+        value, settled = _weigh(measure, masks[-1])
         if value > best[size]:
             best[size], witness[size] = value, tuple(items[i] for i in path)
         reach = range(size + 1, min(size + n - start + 1, z))

@@ -85,6 +85,15 @@ class WorldSpec(_Record):
             raise MalformedDocumentError("day domain must be a non-empty set of distinct names")
         if not schedules:
             raise MalformedDocumentError("a world needs at least one source")
+        named = {"participant": participants, "day": day_domain, "source": schedules}
+        for field, names in named.items():
+            for name in names:
+                # normalization would fold an ASCII alias such as "~" in a name
+                if not (isinstance(name, str) and _NAME.fullmatch(name)
+                        and normalize_formula(name) == name):
+                    raise MalformedDocumentError(
+                        f"{field} name {name!r} cannot be read back from a formula"
+                    )
         domain = set(day_domain)
         for source, days in schedules.items():
             stray = days - domain
@@ -183,6 +192,10 @@ _FORMS: dict[str, tuple[str, re.Pattern[str]]] = {
     "not_win": ("¬Win({participant})", re.compile(r"¬\s*Win\(\s*(?P<participant>[^()\s]+)\s*\)")),
     "win": ("Win({participant})", re.compile(r"Win\(\s*(?P<participant>[^()\s]+)\s*\)")),
 }
+
+# a name that a formula's text reads back as written: no whitespace, and no
+# character that ends a field or joins disjuncts
+_NAME = re.compile(r"[^\s,()∨]+")
 
 # the world attribute that declares the names each field may take
 _DECLARED_IN = {"day": "day_domain", "source": "truthful_days", "participant": "participants"}

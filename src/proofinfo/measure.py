@@ -1,11 +1,12 @@
 """Maximum-uncertainty probability measure over proofs, supports, and entropy.
 
 All probabilities are exact rationals (fractions.Fraction); floating point
-enters only through logarithms. The measure is fully determined by the
-knowledge system: goals are equiprobable, and within a goal class every
-proof is equiprobable. A support is computed on the system's bitset index,
-as the AND of its formulas' proof masks, and its per-goal masses as
-popcounts times integer masses over one common denominator.
+enters only through logarithms. A measure is checked against one knowledge
+system, and compiled to integer masses over one common denominator, when it
+is built. The measure of proof_measure is fully determined by the system:
+goals are equiprobable, and within a goal class every proof is equiprobable.
+A support is the AND of its formulas' proof masks on the system's bitset
+index, and its per-goal masses are popcounts times the integer masses.
 """
 
 from __future__ import annotations
@@ -20,18 +21,19 @@ from .model import _MAX_DIGITS, KnowledgeSystem, _parse_probability, _printable,
 
 
 class ProbabilityMeasure(_Record):
-    """Exact per-proof and per-goal masses, as read-only copies of the mappings given.
+    """Exact per-proof masses on one knowledge system, as a read-only copy.
 
-    support, weight and profile read only per_proof, and check it there: a
-    proof of the system without a mass, a mass that is not a rational, a
-    negative mass, or masses that do not sum to exactly 1 raise
-    NotADistributionError.
+    Checked when built: a proof of the system without a mass, a mass that is
+    not a rational, a negative mass, or masses that do not sum to exactly 1
+    raise NotADistributionError. The compiled masses index system.proofs, so
+    support, weight and profile refuse the measure with any other system.
     """
 
-    __slots__ = ("per_proof", "per_goal")
+    __slots__ = ("system", "per_proof", "_denominator", "_groups")
 
-    def __init__(self, per_proof: Mapping[str, Fraction], per_goal: Mapping[str, Fraction]) -> None:
-        self._set(MappingProxyType(dict(per_proof)), MappingProxyType(dict(per_goal)))
+    def __init__(self, system: KnowledgeSystem, per_proof: Mapping[str, Fraction]) -> None:
+        per_proof = MappingProxyType(dict(per_proof))
+        self._set(system, per_proof, *_mass_groups(system, per_proof))
 
 
 class Support(_Record):
@@ -54,9 +56,7 @@ def proof_measure(ks: KnowledgeSystem) -> ProbabilityMeasure:
     """The maximum-uncertainty measure: mass 1/(M * class size) per proof."""
     # the proofs of one class share one value
     share = {g: Fraction(1, ks.M * len(members)) for g, members in ks.classes.items()}
-    per_proof = {p.id: share[p.goal] for p in ks.proofs}
-    per_goal = {g: Fraction(1, ks.M) for g in ks.goals}
-    return ProbabilityMeasure(per_proof=per_proof, per_goal=per_goal)
+    return ProbabilityMeasure(ks, {p.id: share[p.goal] for p in ks.proofs})
 
 
 def _support_mask(ks: KnowledgeSystem, subset: Iterable[str]) -> int:
@@ -75,9 +75,9 @@ def _mask_ids(ks: KnowledgeSystem, mask: int) -> frozenset[str]:
 
 
 def _mass_groups(
-    ks: KnowledgeSystem, measure: ProbabilityMeasure
+    ks: KnowledgeSystem, per_proof: Mapping[str, Fraction]
 ) -> tuple[int, tuple[tuple[int, int, int], ...]]:
-    """The per-proof masses as integers over one common denominator L.
+    """The masses of per_proof on ks.proofs as integers over one common denominator L.
 
     Returns L and one (goal position, mask, n) triple per distinct mass n/L
     among each goal's proofs, the mask holding the proofs of that goal and
@@ -85,7 +85,7 @@ def _mass_groups(
     NotADistributionError unless the masses are a distribution over ks.proofs.
     """
     try:
-        masses = [measure.per_proof[p.id] for p in ks.proofs]
+        masses = [per_proof[p.id] for p in ks.proofs]
     except KeyError as exc:
         raise NotADistributionError(f"the measure gives proof {exc.args[0]!r} no mass") from exc
     try:
@@ -112,18 +112,24 @@ def _mass_groups(
     return denominator, triples
 
 
-def _goal_masses(
-    ks: KnowledgeSystem, groups: tuple[tuple[int, int, int], ...], mask: int
-) -> list[int]:
+def _require_system(ks: KnowledgeSystem, measure: ProbabilityMeasure) -> None:
+    """Raise NotADistributionError unless `measure` was built for the object `ks`."""
+    if measure.system is not ks:
+        raise NotADistributionError("the measure was built for another knowledge system")
+
+
+def _goal_masses(measure: ProbabilityMeasure, mask: int) -> list[int]:
     """Mass of the support `mask` inside each goal class, times L, in goal order."""
-    masses = [0] * len(ks.goals)
-    for g, group, n in groups:
+    masses = [0] * measure.system.M
+    for g, group, n in measure._groups:
         masses[g] += (mask & group).bit_count() * n
     return masses
 
 
-def _support(ks: KnowledgeSystem, mask: int, denominator: int, masses: list[int]) -> Support:
-    """The Support of `mask`, from its per-goal masses times `denominator`."""
+def _support(ks: KnowledgeSystem, measure: ProbabilityMeasure, mask: int) -> Support:
+    """The Support of `mask` on `ks`, for a measure built for `ks` (else raises)."""
+    _require_system(ks, measure)
+    masses, denominator = _goal_masses(measure, mask), measure._denominator
     return Support(
         proofs=_mask_ids(ks, mask),
         per_goal_mass={g: Fraction(n, denominator) for g, n in zip(ks.goals, masses)},
@@ -144,9 +150,7 @@ def support(
     Any subset is legal: the empty set selects every proof, a formula absent
     from all proofs yields an empty support with mass zero.
     """
-    mask = _support_mask(ks, subset)
-    denominator, groups = _mass_groups(ks, measure)
-    return _support(ks, mask, denominator, _goal_masses(ks, groups, mask))
+    return _support(ks, measure, _support_mask(ks, subset))
 
 
 def shannon_entropy(dist: Iterable[Fraction | int | str]) -> float:

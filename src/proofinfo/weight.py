@@ -11,14 +11,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 
-from .measure import (
-    ProbabilityMeasure,
-    Support,
-    _goal_masses,
-    _mass_groups,
-    _support,
-    _support_mask,
-)
+from .measure import ProbabilityMeasure, Support, _goal_masses, _support, _support_mask
 from .model import KnowledgeSystem, _Record
 
 
@@ -51,28 +44,30 @@ def _structural_zero(ks: KnowledgeSystem, mask: int) -> bool:
 
 def _difference_form(masses: list[int], denominator: int) -> float:
     """sum_g -m_g * log2(m_g) + T * log2(T) for the masses m_g = masses[g] / L
-    in goal order and their total T, with 0*log(0) = 0 also for a float 0,
-    and 0.0 where the terms cancel to below 0: a weight is never negative.
+    and their total T, with 0*log(0) = 0 also for a float 0, and 0.0 where
+    the terms cancel to below 0: a weight is never negative.
 
     Each int/int division is correctly rounded, so every term equals the
-    float of the exact Fraction mass."""
-    total = sum(masses) / denominator
-    value = total * math.log2(total) if total else 0.0
+    float of the exact Fraction mass; math.fsum rounds the exact sum of the
+    terms once, so the value does not depend on the order of the goals."""
+    terms = []
     for n in masses:
         m = n / denominator
         if m:
-            value -= m * math.log2(m)
+            terms.append(-m * math.log2(m))
+    total = sum(masses) / denominator
+    if total:
+        terms.append(total * math.log2(total))
+    value = math.fsum(terms)
     return value if value > 0.0 else 0.0
 
 
-def _weigh(
-    ks: KnowledgeSystem, groups: tuple[tuple[int, int, int], ...], denominator: int, mask: int
-) -> tuple[float, bool]:
+def _weigh(measure: ProbabilityMeasure, mask: int) -> tuple[float, bool]:
     """Weight of the support `mask` and whether it is a structural zero; when
     it is, the two log terms cancel exactly and the value is 0.0."""
-    if _structural_zero(ks, mask):
+    if _structural_zero(measure.system, mask):
         return 0.0, True
-    return _difference_form(_goal_masses(ks, groups, mask), denominator), False
+    return _difference_form(_goal_masses(measure, mask), measure._denominator), False
 
 
 def is_certain(ks: KnowledgeSystem, subset: Iterable[str]) -> bool:
@@ -94,9 +89,8 @@ def weight(
     with empty_support set, so a zero is never mistaken for certainty.
     """
     mask = _support_mask(ks, subset)
-    denominator, groups = _mass_groups(ks, measure)
-    sup = _support(ks, mask, denominator, _goal_masses(ks, groups, mask))
-    value, settled = _weigh(ks, groups, denominator, mask)
+    sup = _support(ks, measure, mask)
+    value, settled = _weigh(measure, mask)
     return WeightResult(
         value=value, support=sup, certain=settled and mask != 0, empty_support=mask == 0
     )

@@ -38,10 +38,10 @@ def support_by_class_scan(ks, measure, subset) -> Support:
 def weight_by_fractions(ks, measure, subset) -> WeightResult:
     """Same result as weight(), from support_by_class_scan's Fraction masses.
 
-    The difference form sum_g -m_g * log2(m_g) + T * log2(T), term by term
-    in goal order with 0*log(0) = 0 (also for a mass whose float is 0), 0.0
-    where it rounds below 0, and exactly 0.0 for a support that is empty or
-    inside one goal class.
+    The difference form sum_g -m_g * log2(m_g) + T * log2(T), its float
+    terms added by math.fsum (so in no particular order) with 0*log(0) = 0
+    (also for a mass whose float is 0), 0.0 where it rounds below 0, and
+    exactly 0.0 for a support that is empty or inside one goal class.
     """
     sup = support_by_class_scan(ks, measure, subset)
     empty = not sup.proofs
@@ -49,12 +49,12 @@ def weight_by_fractions(ks, measure, subset) -> WeightResult:
     value = 0.0
     if not settled:
         total = float(sup.total_mass)
-        if total:
-            value = total * math.log2(total)
+        terms = [total * math.log2(total)] if total else []
         for g in ks.goals:
             m = float(sup.per_goal_mass[g])
             if m:
-                value -= m * math.log2(m)
+                terms.append(-m * math.log2(m))
+        value = math.fsum(terms)
     return WeightResult(
         value=value if value > 0.0 else 0.0,
         support=sup,
@@ -134,3 +134,32 @@ def profile_exhaustive(ks, measure, proof) -> WeightProfile:
         average_weight=sum(values[1:]) / n,
         average_speed=speed,
     )
+
+
+def holds(formula, world, day, winner) -> bool:
+    """Whether a kernel formula is true in the model where `winner` wins on `day`.
+
+    A broadcast Brd(R,a) is true when a wins exactly if R is truthful that day.
+    """
+    if formula.kind == "day_is":
+        return day == formula.day
+    if formula.kind == "day_not":
+        return day != formula.day
+    if formula.kind == "brd":
+        return (winner == formula.participant) == (day in world.truthful_days[formula.source])
+    if formula.kind == "win":
+        return winner == formula.participant
+    if formula.kind == "not_win":
+        return winner != formula.participant
+    return winner in formula.participants
+
+
+def models(world, facts) -> list:
+    """The (day, winner) pairs of the world in which every formula of `facts` holds."""
+    facts = list(facts)
+    return [
+        (day, winner)
+        for day in world.day_domain
+        for winner in world.participants
+        if all(holds(f, world, day, winner) for f in facts)
+    ]

@@ -223,8 +223,6 @@ def test_json_report_matches_golden(capsys, monkeypatch, argv, golden):
     ("argv", "code", "golden"),
     [
         (("demo",), 0, "demo_table.txt"),
-        (("profile", "tests/data/fixture.json", "--all"), 0, "profile_fixture_table.txt"),
-        (("check", "tests/data/world.json", "tests/data/fixture.json"), 0, "check_table.txt"),
         (("check", "tests/data/world.json", "tests/data/fixture.json", "--strict"), 2,
          "check_strict_table.txt"),
         (("entropy", "--dist", "1/4,1/4,1/2"), 0, "entropy_table.txt"),
@@ -233,6 +231,8 @@ def test_json_report_matches_golden(capsys, monkeypatch, argv, golden):
          "weight_certain_table.txt"),
         (("weight", "tests/data/fixture.json", "--subset", "Nope"), 0,
          "weight_empty_support_table.txt"),
+        (("profile", "tests/data/fixture.json", "--all"), 0, "profile_fixture_table.txt"),
+        (("check", "tests/data/world.json", "tests/data/fixture.json"), 0, "check_table.txt"),
     ],
 )
 def test_table_output_matches_golden(capsys, monkeypatch, argv, code, golden):
@@ -339,6 +339,18 @@ def test_check_world_with_repeated_participant_exits_3(tmp_path, capsys):
     code, out, err = run(capsys, "check", str(path), FIXTURE)
     assert (code, out) == (3, "")
     assert err == "error: bad world document: participants must be distinct names\n"
+
+
+def test_check_world_with_an_unreadable_name_exits_3(tmp_path, capsys):
+    doc = {"participants": ["Bok", "Win(A b)"], "day_domain": ["Fri"],
+           "sources": {"R1": "always_truthful"}}
+    path = tmp_path / "world.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run(capsys, "check", str(path), FIXTURE)
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: bad world document: participant name 'Win(A b)' cannot be read back from a formula\n"
+    )
 
 
 def test_check_unparsable_proof_formula_exits_3(tmp_path, capsys):

@@ -32,6 +32,7 @@ from proofinfo.errors import (
     UnparsableFormulaError,
 )
 from proofinfo.kernel import DECEITFUL, TRUTHFUL, UNKNOWN, WorldSpec
+from oracles import holds, models
 
 DATA = Path(__file__).parent / "data"
 
@@ -261,6 +262,46 @@ def test_parse_world_input_checks(document, message):
     with pytest.raises(MalformedDocumentError) as exc:
         parse_world(document)
     assert str(exc.value) == message
+
+
+# names the formula grammar cannot read back: a formula built on them would
+# print a text that parse_kformula refuses on the same world
+UNREADABLE_NAMES = [
+    *(("participant", bad, _world(participants=["Bok", bad]))
+      for bad in ("", "A b", "A,B", "Win(A)", "A∨B", "A~B")),
+    *(("source", bad, _world(sources={bad: "always_truthful"})) for bad in ("R 1", "R,1", "")),
+    ("day", "Fri ", _world(day_domain=["Fri "])),
+]
+
+
+@pytest.mark.parametrize(
+    ("field", "name", "document"), UNREADABLE_NAMES, ids=[f"{f}:{n!r}" for f, n, _ in UNREADABLE_NAMES]
+)
+def test_world_refuses_names_its_formulas_cannot_read_back(field, name, document):
+    with pytest.raises(MalformedDocumentError) as exc:
+        parse_world(document)
+    assert str(exc.value) == f"{field} name {name!r} cannot be read back from a formula"
+
+
+def test_every_accepted_world_name_reads_back():
+    # names over an alphabet that holds the grammar's own characters: a world
+    # either refuses them or reads back every formula built on them
+    rng = random.Random(3)
+    alphabet = _NAME_CHARS[:8] * 4 + " \t,()∨=≠¬~!\\/"
+    accepted: set[str] = set()
+    for _ in range(3000):
+        def names(count):
+            return list({"".join(rng.choices(alphabet, k=rng.randint(1, 3))) for _ in range(count)})
+
+        try:
+            world = WorldSpec(names(3), names(2), dict.fromkeys(names(2), ()))
+        except MalformedDocumentError:
+            continue
+        accepted.update(world.participants, world.day_domain, world.truthful_days)
+        for f in _factory_formulas(world):
+            assert parse_kformula(f.text(), world) == f
+    # every grammar character a name may hold was drawn into an accepted one
+    assert all(any(c in name for name in accepted) for c in "=≠¬!\\/")
 
 
 def test_world_rejects_repeated_participants():
@@ -531,3 +572,89 @@ def test_fixture_step_rules(world):
         "UserData", "UserData", "ExistenceDisj", "UserData",
         "DeceitfulBroadcast", "DisjElim",
     ]
+
+
+# ---- soundness against the world's models -----------------------------------
+
+def _random_world_and_data(rng):
+    """A world with random names, and 1-5 broadcasts plus, seven times in
+    ten, one day fact about it."""
+
+    def names(count):
+        out = set()
+        while len(out) < count:
+            out.add("".join(rng.choice(_NAME_CHARS) for _ in range(rng.randint(1, 6))))
+        return sorted(out)
+
+    days = names(rng.randint(1, 4))
+    world = WorldSpec(
+        participants=tuple(names(rng.randint(2, 5))),
+        day_domain=tuple(days),
+        truthful_days={s: frozenset(rng.sample(days, rng.randint(0, len(days))))
+                       for s in names(rng.randint(1, 4))},
+    )
+    data = [brd(rng.choice(sorted(world.truthful_days)), rng.choice(world.participants))
+            for _ in range(rng.randint(1, 5))]
+    if rng.random() < 0.7:
+        data.append(rng.choice((day_is, day_not))(rng.choice(days)))
+    return world, data
+
+
+def _listings(rng, world, data):
+    """Listings to check over the data: each enumerated proof, the same with a
+    formula dropped, shuffled, or with a data fact inserted, and the data
+    followed by formulas drawn from every formula of the world."""
+    try:
+        enumerated = [p.formulas for p in enumerate_proofs(world, data).proofs]
+    except InconsistentDayContextError:
+        enumerated = []
+    formulas = list(_factory_formulas(world))
+    for listing in enumerated:
+        yield listing
+        dropped = list(listing)
+        del dropped[rng.randrange(len(dropped))]
+        yield dropped
+        yield rng.sample(listing, len(listing))
+        inserted = list(listing)
+        inserted.insert(rng.randint(0, len(inserted)), rng.choice(data))
+        yield inserted
+    yield [*rng.sample(data, len(data)), *rng.sample(formulas, min(4, len(formulas)))]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_every_accepted_step_holds_in_every_model_of_the_data_before_it(seed):
+    rng = random.Random(seed)
+    accepted = 0
+    for _ in range(150):
+        world, data = _random_world_and_data(rng)
+        goals = {win(p) for p in world.participants}
+        for listing in _listings(rng, world, data):
+            for strict in (False, True):
+                steps = check_proof(world, listing, goals, strict=strict).steps
+                for i, step in enumerate(steps):
+                    if step.rule == "Unjustified":
+                        break  # later steps may rest on it
+                    if step.rule == "UserData":
+                        continue
+                    accepted += 1
+                    worlds = models(world, (f for f in listing[:i] if is_data(f)))
+                    for f in (step.conclusion, *step.implicit):
+                        assert all(holds(f, world, *m) for m in worlds), (listing, i, f)
+    assert accepted > 1000
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_enumerate_lists_only_entailed_winners(seed):
+    rng = random.Random(100 + seed)
+    listed = 0
+    for _ in range(300):
+        world, data = _random_world_and_data(rng)
+        worlds = models(world, data)
+        if not worlds:
+            continue
+        result = enumerate_proofs(world, data)
+        assert result.contradictions == ()
+        for p in result.proofs:
+            listed += 1
+            assert all(holds(p.goal, world, *m) for m in worlds), (data, p.goal)
+    assert listed > 50

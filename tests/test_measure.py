@@ -1,12 +1,27 @@
 import math
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from proofinfo import ProbabilityMeasure, profile, proof_measure, shannon_entropy, support, weight
+from proofinfo import (
+    ProbabilityMeasure,
+    parse_knowledge_system,
+    profile,
+    proof_measure,
+    serialize_knowledge_system,
+    shannon_entropy,
+    support,
+    weight,
+)
+from proofinfo import measure as measure_module
+from proofinfo.cli import main
 from proofinfo.errors import NotADistributionError
 from randsys import random_subset, random_system
+
+FIXTURE = str(Path(__file__).parent / "data" / "fixture.json")
 
 
 def test_fixture_measure_values(ks, measure):
@@ -18,7 +33,6 @@ def test_fixture_measure_values(ks, measure):
 
 def test_per_goal_mass_is_one_over_m(ks, measure):
     for g in ks.goals:
-        assert measure.per_goal[g] == Fraction(1, 3)
         class_mass = sum(measure.per_proof[pid] for pid in ks.classes[g])
         assert class_mass == Fraction(1, 3)
 
@@ -111,13 +125,66 @@ READERS = {
 def test_hand_built_measure_is_checked_where_read(ks, measure, bad, read):
     per_proof = bad(dict(measure.per_proof))
     with pytest.raises(NotADistributionError):
-        read(ks, ProbabilityMeasure(per_proof=per_proof, per_goal=measure.per_goal))
+        read(ks, ProbabilityMeasure(ks, per_proof))
+
+
+# what each measure of BAD_MASSES is refused with, when it is built
+BAD_MASS_MESSAGES = {
+    "missing": "the measure gives proof 'QB1' no mass",
+    "negative": "proof masses must be nonnegative",
+    "sum_past_one": "proof masses do not sum to 1",
+    "float": f"proof 'QB1' has mass {1 / 9!r}, not a rational",
+    "str": "proof 'QB1' has mass '1/9', not a rational",
+}
+
+
+@pytest.mark.parametrize("name", BAD_MASSES)
+def test_invalid_measure_is_refused_when_built(ks, measure, name):
+    with pytest.raises(NotADistributionError) as exc:
+        ProbabilityMeasure(ks, BAD_MASSES[name](dict(measure.per_proof)))
+    assert str(exc.value) == BAD_MASS_MESSAGES[name]
+
+
+def test_a_measure_is_refused_with_another_system_object(ks, measure):
+    # an equal system, once listed in the same order and once in reverse: the
+    # measure's masks index positions in its own system's proofs
+    document = serialize_knowledge_system(ks)
+    same = parse_knowledge_system(document)
+    document["proofs"].reverse()
+    reordered = parse_knowledge_system(document)
+    assert same == ks and reordered == ks
+    for other in (same, reordered):
+        for read in READERS.values():
+            with pytest.raises(NotADistributionError, match="another knowledge system"):
+                read(other, measure)
+    own = proof_measure(reordered)
+    assert support(reordered, own, {"Day=Fri"}) == support(ks, measure, {"Day=Fri"})
+
+
+@pytest.mark.parametrize(
+    "argv", [("profile", FIXTURE, "--all"), ("demo",)], ids=["profile", "demo"]
+)
+def test_a_command_compiles_its_measure_once(capsys, monkeypatch, argv):
+    # count the compilations wherever the package binds the compiler
+    calls = []
+    compile_masses = measure_module._mass_groups
+
+    def counted(*args):
+        calls.append(args)
+        return compile_masses(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("proofinfo") and hasattr(module, "_mass_groups"):
+            monkeypatch.setattr(module, "_mass_groups", counted)
+    assert main(list(argv)) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
 
 
 def test_a_mass_that_is_not_a_rational_names_its_proof(ks, measure):
     per_proof = {**measure.per_proof, "QD2": 1 / 9}
     with pytest.raises(NotADistributionError, match="proof 'QD2' has mass 0.111"):
-        weight(ks, ProbabilityMeasure(per_proof=per_proof, per_goal=measure.per_goal), set())
+        weight(ks, ProbabilityMeasure(ks, per_proof), set())
 
 
 def test_entropy_quarter_quarter_half():

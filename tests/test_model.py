@@ -222,7 +222,6 @@ def test_indexes_and_measure_are_read_only():
         (ks.by_id, "QB1"),
         (ks.classes, "Win(Bok)"),
         (measure.per_proof, "QB1"),
-        (measure.per_goal, "Win(Bok)"),
     ):
         with pytest.raises(TypeError):
             mapping[key] = ()

@@ -68,13 +68,7 @@ def test_uneven_measure_equals_oracles(ks, data):
         shares[first] += 1
     total = sum(shares.values())
     per_proof = {pid: Fraction(n, total) for pid, n in shares.items()}
-    measure = ProbabilityMeasure(
-        per_proof=MappingProxyType(per_proof),
-        per_goal=MappingProxyType({
-            g: sum((per_proof[pid] for pid in members), Fraction(0))
-            for g, members in ks.classes.items()
-        }),
-    )
+    measure = ProbabilityMeasure(ks, MappingProxyType(per_proof))
     vocabulary = sorted({f for p in ks.proofs for f in p.formulas} | {"absent"})
     subset = data.draw(st.lists(st.sampled_from(vocabulary), max_size=4))
     sup = support(ks, measure, subset)

@@ -39,6 +39,8 @@ from proofinfo import (
 _F = KFormula("brd", None, "R1", "A", frozenset())
 _G = KFormula("win", "Fri", "R2", "B", frozenset({"A"}))
 _STEP = RuleApplication("UserData", (), _F, ())
+_TWO = KnowledgeSystem(["g"], [("P1", ["g", "a"]), ("P2", ["g"])])
+_TWO_OTHER = KnowledgeSystem(["g"], [("P1", ["g", "b"]), ("P2", ["g"])])
 
 
 def _proxy(**items):
@@ -53,11 +55,11 @@ RECORDS = [
      ("P1", frozenset({"a"}), "a", ("a",)),
      ("P2", frozenset({"b"}), "b", ("b",)),
      "Proof(id='P1', formulas=frozenset({'a'}), goal='a', listing=('a',))", True),
-    (ProbabilityMeasure, ("per_proof", "per_goal"),
-     (_proxy(P1=Fraction(1, 2)), _proxy(g=Fraction(1))),
-     (_proxy(P1=Fraction(1, 3)), _proxy(h=Fraction(1))),
-     "ProbabilityMeasure(per_proof=mappingproxy({'P1': Fraction(1, 2)}), "
-     "per_goal=mappingproxy({'g': Fraction(1, 1)}))", False),
+    (ProbabilityMeasure, ("system", "per_proof"),
+     (_TWO, _proxy(P1=Fraction(1, 2), P2=Fraction(1, 2))),
+     (_TWO_OTHER, _proxy(P1=Fraction(1, 3), P2=Fraction(2, 3))),
+     "ProbabilityMeasure(system=KnowledgeSystem(goals=1, proofs=2), "
+     "per_proof=mappingproxy({'P1': Fraction(1, 2), 'P2': Fraction(1, 2)}))", False),
     (Support, ("proofs", "per_goal_mass", "total_mass"),
      (frozenset({"P1"}), _proxy(g=Fraction(1, 2)), Fraction(1, 2)),
      (frozenset(), _proxy(g=Fraction(0)), Fraction(0)),
