@@ -275,7 +275,9 @@ UNREADABLE_NAMES = [
 
 
 @pytest.mark.parametrize(
-    ("field", "name", "document"), UNREADABLE_NAMES, ids=[f"{f}:{n!r}" for f, n, _ in UNREADABLE_NAMES]
+    ("field", "name", "document"),
+    UNREADABLE_NAMES,
+    ids=[f"{field}:{name!r}" for field, name, _ in UNREADABLE_NAMES],
 )
 def test_world_refuses_names_its_formulas_cannot_read_back(field, name, document):
     with pytest.raises(MalformedDocumentError) as exc:
@@ -289,10 +291,11 @@ def test_every_accepted_world_name_reads_back():
     rng = random.Random(3)
     alphabet = _NAME_CHARS[:8] * 4 + " \t,()∨=≠¬~!\\/"
     accepted: set[str] = set()
-    for _ in range(3000):
-        def names(count):
-            return list({"".join(rng.choices(alphabet, k=rng.randint(1, 3))) for _ in range(count)})
 
+    def names(count):
+        return list({"".join(rng.choices(alphabet, k=rng.randint(1, 3))) for _ in range(count)})
+
+    for _ in range(3000):
         try:
             world = WorldSpec(names(3), names(2), dict.fromkeys(names(2), ()))
         except MalformedDocumentError:
