@@ -56,7 +56,7 @@ from .model import (
     parse_knowledge_system,
     serialize_knowledge_system,
 )
-from .weight import WeightResult, is_certain, weight
+from .weight import WeightResult, weight
 
 __all__ = [
     "__version__",
@@ -78,7 +78,6 @@ __all__ = [
     "support_ids",
     # weight
     "WeightResult",
-    "is_certain",
     "weight",
     # convergence
     "WeightProfile",

@@ -42,6 +42,7 @@ from .report import (
     summary_results,
     weight_entry,
 )
+from .weight import weight
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -108,11 +109,9 @@ def _cmd_demo(args: argparse.Namespace) -> tuple[dict, int]:
     measure = proof_measure(ks)
     results = summary_results(ks)
     results["measure"] = measure_results(ks, measure)
-    results["empty_subset_weight"] = weight_entry(ks, measure, ())["weight_bits"]
-    results["weights"] = [weight_entry(ks, measure, s) for s in _DEMO_SUBSETS]
-    results["profiles"] = {
-        p.id: profile_entry(ks, measure, p.id) for p in ks.proofs
-    }
+    results["empty_subset_weight"] = fmt_bits(weight(ks, measure, ()).value)
+    results["weights"] = [weight_entry(ks, s, weight(ks, measure, s)) for s in _DEMO_SUBSETS]
+    results["profiles"] = {p.id: profile_entry(ks, measure, p.id) for p in ks.proofs}
     input_desc = {"source": "builtin", "sha256": knowledge_system_digest(ks)}
     return base_report("demo", {}, input_desc, results), EXIT_OK
 
@@ -139,7 +138,7 @@ def _cmd_weight(args: argparse.Namespace) -> tuple[dict, int]:
     ks, input_desc = _load_system(args.path)
     subset = _parse_subset(args)
     measure = proof_measure(ks)
-    results = {"weights": [weight_entry(ks, measure, subset)]}
+    results = {"weights": [weight_entry(ks, subset, weight(ks, measure, subset))]}
     arguments = {"path": args.path, "subset": subset}
     return base_report("weight", arguments, input_desc, results), EXIT_OK
 

@@ -73,34 +73,30 @@ class WeightProfile(_Record):
         )
 
 
-def _resolve_proof(ks: KnowledgeSystem, proof: Proof | str) -> Proof:
-    pid = proof if isinstance(proof, str) else proof.id
-    found = ks.by_id.get(pid)
-    if found is None or (isinstance(proof, Proof) and found.formulas != proof.formulas):
-        raise UnknownProofIdError(f"proof {pid!r} is not part of this knowledge system")
+def _resolve_proof(ks: KnowledgeSystem, proof_id: str) -> Proof:
+    found = ks.by_id.get(proof_id)
+    if found is None:
+        raise UnknownProofIdError(f"proof {proof_id!r} is not part of this knowledge system")
     return found
 
 
 def max_subset_weight(
-    ks: KnowledgeSystem,
-    measure: ProbabilityMeasure,
-    proof: Proof | str,
-    size: int,
+    ks: KnowledgeSystem, measure: ProbabilityMeasure, proof_id: str, size: int
 ) -> tuple[float, tuple[str, ...]]:
     """Worst-case weight over all subsets of the proof with exactly `size` formulas.
 
     Read from the proof's profile. Returns the maximum and the first
     maximizing subset in lexicographic order of the sorted formula texts.
     """
-    p = _resolve_proof(ks, proof)
+    p = _resolve_proof(ks, proof_id)
     n = len(p.formulas)
     if not 0 <= size <= n:
         raise SizeOutOfRangeError(f"size {size} outside 0..{n} for proof {p.id!r}")
-    prof = profile(ks, measure, p)
+    prof = profile(ks, measure, p.id)
     return prof.max_weights[size], prof.witnesses[size]
 
 
-def certainty_threshold(ks: KnowledgeSystem, proof: Proof | str) -> int:
+def certainty_threshold(ks: KnowledgeSystem, proof_id: str) -> int:
     """Smallest k such that every size-k subset of the proof pins the goal.
 
     A subset S of proof P leaves the goal open iff a proof Q of another goal
@@ -109,16 +105,12 @@ def certainty_threshold(ks: KnowledgeSystem, proof: Proof | str) -> int:
     structure with no search, so any proof size works. Always in
     1..len(proof): Q cannot contain P's goal.
     """
-    p = _resolve_proof(ks, proof)
+    p = _resolve_proof(ks, proof_id)
     others = (len(p.formulas & q.formulas) for q in ks.proofs if q.goal != p.goal)
     return 1 + max(others, default=0)
 
 
-def profile(
-    ks: KnowledgeSystem,
-    measure: ProbabilityMeasure,
-    proof: Proof | str,
-) -> WeightProfile:
+def profile(ks: KnowledgeSystem, measure: ProbabilityMeasure, proof_id: str) -> WeightProfile:
     """Full convergence profile of one proof, from one subset-lattice search.
 
     Sizes from the certainty threshold z up weigh 0.0, witnessed by their
@@ -132,7 +124,7 @@ def profile(
     MAX_SEARCH_NODES witness formulas or visited subsets raise ProofTooLargeError.
     """
     _require_system(ks, measure)
-    p = _resolve_proof(ks, proof)
+    p = _resolve_proof(ks, proof_id)
     n = len(p.formulas)
     # one witness of k formulas per size k, charged to the same budget
     if n * (n + 1) // 2 > MAX_SEARCH_NODES:
@@ -147,7 +139,7 @@ def profile(
             f"no subset size of proof {p.id!r} guarantees certainty; "
             "the one-goal-per-proof invariant must be broken"
         )
-    z = certainty_threshold(ks, p)
+    z = certainty_threshold(ks, p.id)
     items = sorted(p.formulas)
     item_masks = [ks._formula_masks[f] for f in items]
     best = [-math.inf] * z + [0.0] * (n + 1 - z)

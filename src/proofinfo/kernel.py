@@ -485,22 +485,21 @@ def _first_application(
     facts: _Facts,
     premises: Iterable[tuple[int, KFormula]],
     concludes: Callable[[KFormula], bool],
-    notes: list[str] | None,
+    notes: list[str],
 ) -> _Application | None:
     """The first application led by one of the premises, in order, whose
-    conclusion passes `concludes`. A broadcast whose day facts conflict is
-    noted in `notes`, or skipped silently when notes is None; an unknown name
-    raises on either path."""
+    conclusion passes `concludes`. A broadcast whose day facts conflict, or
+    whose source's reliability is unknown, is noted in `notes`; an unknown
+    name raises."""
     for j, e in premises:
         try:
             for app in _RULES[e.kind](facts, j, e):
                 if concludes(app[2]):
                     return app
         except InconsistentDayContextError as exc:
-            if notes is not None:
-                notes.append(str(exc))
+            notes.append(str(exc))
             continue
-        if notes is not None and e.kind == "brd" and facts.verdict(e.source) == UNKNOWN:
+        if e.kind == "brd" and facts.verdict(e.source) == UNKNOWN:
             notes.append(f"{e.source} reliability unknown")
     return None
 
@@ -524,8 +523,8 @@ def _existence_disj(
         others = (
             (k, e) for k, e in enumerate(facts.formulas) if e.kind == "brd" and e.participant != beta
         )
-        app = _first_application(facts, _leading_premises(facts, goal), goal.__eq__, None) or (
-            _first_application(facts, others, lambda c: c.kind == "win", None)
+        app = _first_application(facts, _leading_premises(facts, goal), goal.__eq__, []) or (
+            _first_application(facts, others, lambda c: c.kind == "win", [])
         )
         if app is None:
             return None

@@ -23,10 +23,12 @@ from .model import _MAX_DIGITS, KnowledgeSystem, _parse_probability, _printable,
 class ProbabilityMeasure(_Record):
     """Exact per-proof masses on one knowledge system, as a read-only copy.
 
-    Checked when built: a proof of the system without a mass, a mass that is
-    not a rational, a negative mass, or masses that do not sum to exactly 1
-    raise NotADistributionError. The compiled masses index system.proofs, so
-    support, weight and profile refuse the measure with any other system.
+    Checked when built: a proof of the system without a mass, a mass for any
+    other id, a mass that is not a rational, a negative mass, or masses that
+    do not sum to exactly 1 raise NotADistributionError. The compiled masses
+    index the system's goals and proofs in order, so support, weight and
+    profile accept the measure, and measures compare equal, only with equal
+    systems that list both in the same order.
     """
 
     __slots__ = ("system", "per_proof", "_denominator", "_groups")
@@ -34,6 +36,10 @@ class ProbabilityMeasure(_Record):
     def __init__(self, system: KnowledgeSystem, per_proof: Mapping[str, Fraction]) -> None:
         per_proof = MappingProxyType(dict(per_proof))
         self._set(system, per_proof, *_mass_groups(system, per_proof))
+
+    @staticmethod
+    def _key(measure: ProbabilityMeasure) -> tuple:
+        return _layout(measure.system), measure.per_proof
 
 
 class Support(_Record):
@@ -61,7 +67,10 @@ def proof_measure(ks: KnowledgeSystem) -> ProbabilityMeasure:
 
 def _support_mask(ks: KnowledgeSystem, subset: Iterable[str]) -> int:
     """Bitmask, over positions in ks.proofs, of the proofs containing `subset`:
-    the AND of its formulas' masks, all proofs for the empty subset."""
+    the AND of its formulas' masks, all proofs for the empty subset. A str,
+    which would be read one character at a time, raises TypeError."""
+    if isinstance(subset, str):
+        raise TypeError(f"a subset is a collection of formulas, not the str {subset!r}")
     masks = ks._formula_masks
     mask = (1 << len(ks.proofs)) - 1
     for formula in subset:
@@ -88,6 +97,9 @@ def _mass_groups(
         masses = [per_proof[p.id] for p in ks.proofs]
     except KeyError as exc:
         raise NotADistributionError(f"the measure gives proof {exc.args[0]!r} no mass") from exc
+    if len(per_proof) > len(masses):
+        stray = next(pid for pid in per_proof if pid not in ks.by_id)
+        raise NotADistributionError(f"the measure gives mass to {stray!r}, not a proof")
     try:
         denominator = math.lcm(*(m.denominator for m in masses))
     except (AttributeError, TypeError) as exc:
@@ -112,9 +124,14 @@ def _mass_groups(
     return denominator, triples
 
 
+def _layout(ks: KnowledgeSystem) -> tuple:
+    """The goals and proofs of `ks` in order, which a compiled measure indexes."""
+    return ks.goals, tuple((p.id, p.formulas) for p in ks.proofs)
+
+
 def _require_system(ks: KnowledgeSystem, measure: ProbabilityMeasure) -> None:
-    """Raise NotADistributionError unless `measure` was built for the object `ks`."""
-    if measure.system is not ks:
+    """Raise NotADistributionError unless `measure` was built for `ks` or a copy of it."""
+    if measure.system is not ks and _layout(measure.system) != _layout(ks):
         raise NotADistributionError("the measure was built for another knowledge system")
 
 

@@ -18,7 +18,7 @@ from .convergence import profile
 from .kernel import CheckedProof
 from .measure import ProbabilityMeasure
 from .model import KnowledgeSystem, serialize_knowledge_system
-from .weight import weight
+from .weight import WeightResult
 
 REPORT_SCHEMA = "proofinfo.report/1"
 
@@ -64,10 +64,7 @@ def measure_results(ks: KnowledgeSystem, measure: ProbabilityMeasure) -> dict:
     return {p.id: str(measure.per_proof[p.id]) for p in ks.proofs}
 
 
-def weight_entry(
-    ks: KnowledgeSystem, measure: ProbabilityMeasure, subset: Sequence[str]
-) -> dict:
-    result = weight(ks, measure, subset)
+def weight_entry(ks: KnowledgeSystem, subset: Sequence[str], result: WeightResult) -> dict:
     return {
         "subset": list(subset),
         "weight_bits": fmt_bits(result.value),

@@ -70,12 +70,6 @@ def _weigh(measure: ProbabilityMeasure, mask: int) -> tuple[float, bool]:
     return _difference_form(_goal_masses(measure, mask), measure._denominator), False
 
 
-def is_certain(ks: KnowledgeSystem, subset: Iterable[str]) -> bool:
-    """True iff the subset's support is nonempty and within one goal class."""
-    mask = _support_mask(ks, subset)
-    return mask != 0 and _structural_zero(ks, mask)
-
-
 def weight(
     ks: KnowledgeSystem, measure: ProbabilityMeasure, subset: Iterable[str]
 ) -> WeightResult:

@@ -79,12 +79,12 @@ def weight_ratio_form(ks, measure, subset) -> float:
     return acc
 
 
-def max_subset_weight_exhaustive(ks, measure, proof, size) -> float:
+def max_subset_weight_exhaustive(ks, measure, proof_id, size) -> float:
     """Same maximum as max_subset_weight, by plain enumeration (no pruning).
 
     Intended for small proofs.
     """
-    p = ks.by_id[proof if isinstance(proof, str) else proof.id]
+    p = ks.by_id[proof_id]
     items = sorted(p.formulas)
     if not 0 <= size <= len(items):
         raise SizeOutOfRangeError(f"size {size} outside 0..{len(items)} for proof {p.id!r}")
@@ -94,7 +94,7 @@ def max_subset_weight_exhaustive(ks, measure, proof, size) -> float:
     )
 
 
-def profile_exhaustive(ks, measure, proof) -> WeightProfile:
+def profile_exhaustive(ks, measure, proof_id) -> WeightProfile:
     """Same profile as profile(), by plain enumeration of every subset.
 
     The maximum and the first maximizer in itertools.combinations order for
@@ -102,7 +102,7 @@ def profile_exhaustive(ks, measure, proof) -> WeightProfile:
     have an empty or single-class support, and both averages. Intended for
     small proofs.
     """
-    p = ks.by_id[proof if isinstance(proof, str) else proof.id]
+    p = ks.by_id[proof_id]
     items = sorted(p.formulas)
     n = len(items)
     values, witnesses = [], []

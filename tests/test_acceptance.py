@@ -28,7 +28,6 @@ from proofinfo import (
     check_proof,
     day_is,
     enumerate_proofs,
-    is_certain,
     max_subset_weight,
     parse_kformula,
     parse_knowledge_system,
@@ -46,7 +45,7 @@ from frozen import (
     SINGLE_BROADCAST_WEIGHT,
     TRIPLE_WEIGHT,
 )
-from oracles import max_subset_weight_exhaustive, weight_ratio_form
+from oracles import max_subset_weight_exhaustive, weight_by_fractions, weight_ratio_form
 from randsys import random_subset, random_system
 
 GOLDEN = Path(__file__).parent / "golden" / "demo.json"
@@ -164,8 +163,9 @@ def test_c04_structural_certainty_weighs_exactly_zero():
         for p in system.proofs:
             candidates = [p.formulas, frozenset(random_subset(rng, p.formulas))]
             for s in candidates:
-                if is_certain(system, s):
-                    assert weight(system, m, s).value == 0.0
+                if weight_by_fractions(system, m, s).certain:
+                    result = weight(system, m, s)
+                    assert result.certain and result.value == 0.0
                     checked += 1
     assert checked >= 200
     _passed(4, "certain subsets weigh exactly zero")

@@ -8,7 +8,6 @@ from proofinfo import (
     KnowledgeSystem,
     convergence,
     certainty_threshold,
-    is_certain,
     max_subset_weight,
     profile,
     proof_measure,
@@ -81,6 +80,18 @@ def test_unknown_proof_id(ks, measure):
         profile(ks, measure, "NOPE")
 
 
+def test_a_proof_is_named_by_its_id_only(ks, measure):
+    # a Proof object, even one of this system, is not an id
+    qb3 = ks.by_id["QB3"]
+    for ask in (
+        lambda: profile(ks, measure, qb3),
+        lambda: certainty_threshold(ks, qb3),
+        lambda: max_subset_weight(ks, measure, qb3, 1),
+    ):
+        with pytest.raises(UnknownProofIdError, match="is not part of this knowledge system"):
+            ask()
+
+
 def test_large_proof_guard():
     # no formula count limits a search: with no other goal the threshold is
     # 1, so a 31-formula proof profiles at once
@@ -144,7 +155,7 @@ def test_threshold_boundary_is_structural(ks, measure):
             spread = [
                 s
                 for s in itertools.combinations(items, z - 1)
-                if support_ids(ks, s) and not is_certain(ks, s)
+                if support_ids(ks, s) and not weight(ks, measure, s).certain
             ]
             assert spread
         for k in range(z, len(items) + 1):

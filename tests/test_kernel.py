@@ -132,23 +132,29 @@ def _factory_formulas(world):
 _NAME_CHARS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_-.:é"
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_parse_inverts_text_over_random_worlds(seed):
-    rng = random.Random(seed)
+def _random_world(rng, max_participants, alphabet=_NAME_CHARS, max_length=6):
+    """A world of distinct random names over `alphabet`: one to four days, two
+    to `max_participants` participants, and one to four sources, each
+    truthful on a random set of days."""
 
     def names(count):
         out = set()
         while len(out) < count:
-            out.add("".join(rng.choice(_NAME_CHARS) for _ in range(rng.randint(1, 6))))
+            out.add("".join(rng.choice(alphabet) for _ in range(rng.randint(1, max_length))))
         return sorted(out)
 
     days = names(rng.randint(1, 4))
-    world = WorldSpec(
-        participants=tuple(names(rng.randint(2, 6))),
-        day_domain=tuple(days),
-        truthful_days={s: frozenset(rng.sample(days, rng.randint(0, len(days))))
+    return WorldSpec(
+        participants=names(rng.randint(2, max_participants)),
+        day_domain=days,
+        truthful_days={s: rng.sample(days, rng.randint(0, len(days)))
                        for s in names(rng.randint(1, 4))},
     )
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_parse_inverts_text_over_random_worlds(seed):
+    world = _random_world(random.Random(seed), max_participants=6)
     formulas = list(_factory_formulas(world))
     assert len(set(formulas)) == len(formulas)
     for f in formulas:
@@ -291,13 +297,9 @@ def test_every_accepted_world_name_reads_back():
     rng = random.Random(3)
     alphabet = _NAME_CHARS[:8] * 4 + " \t,()∨=≠¬~!\\/"
     accepted: set[str] = set()
-
-    def names(count):
-        return list({"".join(rng.choices(alphabet, k=rng.randint(1, 3))) for _ in range(count)})
-
     for _ in range(3000):
         try:
-            world = WorldSpec(names(3), names(2), dict.fromkeys(names(2), ()))
+            world = _random_world(rng, max_participants=3, alphabet=alphabet, max_length=3)
         except MalformedDocumentError:
             continue
         accepted.update(world.participants, world.day_domain, world.truthful_days)
@@ -580,26 +582,13 @@ def test_fixture_step_rules(world):
 # ---- soundness against the world's models -----------------------------------
 
 def _random_world_and_data(rng):
-    """A world with random names, and 1-5 broadcasts plus, seven times in
-    ten, one day fact about it."""
-
-    def names(count):
-        out = set()
-        while len(out) < count:
-            out.add("".join(rng.choice(_NAME_CHARS) for _ in range(rng.randint(1, 6))))
-        return sorted(out)
-
-    days = names(rng.randint(1, 4))
-    world = WorldSpec(
-        participants=tuple(names(rng.randint(2, 5))),
-        day_domain=tuple(days),
-        truthful_days={s: frozenset(rng.sample(days, rng.randint(0, len(days))))
-                       for s in names(rng.randint(1, 4))},
-    )
+    """A random world, and 1-5 broadcasts plus, seven times in ten, one day
+    fact about it."""
+    world = _random_world(rng, max_participants=5)
     data = [brd(rng.choice(sorted(world.truthful_days)), rng.choice(world.participants))
             for _ in range(rng.randint(1, 5))]
     if rng.random() < 0.7:
-        data.append(rng.choice((day_is, day_not))(rng.choice(days)))
+        data.append(rng.choice((day_is, day_not))(rng.choice(world.day_domain)))
     return world, data
 
 

@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -7,13 +8,16 @@ from pathlib import Path
 import pytest
 
 from proofinfo import (
+    KnowledgeSystem,
     ProbabilityMeasure,
+    load_knowledge_system,
     parse_knowledge_system,
     profile,
     proof_measure,
     serialize_knowledge_system,
     shannon_entropy,
     support,
+    support_ids,
     weight,
 )
 from proofinfo import measure as measure_module
@@ -112,6 +116,7 @@ BAD_MASSES = {
     "sum_past_one": lambda good: dict.fromkeys(good, Fraction(1)),
     "float": lambda good: {pid: float(m) for pid, m in good.items()},
     "str": lambda good: {pid: str(m) for pid, m in good.items()},
+    "stray_id": lambda good: {**good, "ZZ9": Fraction(-7)},
 }
 READERS = {
     "support": lambda ks, m: support(ks, m, set()),
@@ -135,6 +140,7 @@ BAD_MASS_MESSAGES = {
     "sum_past_one": "proof masses do not sum to 1",
     "float": f"proof 'QB1' has mass {1 / 9!r}, not a rational",
     "str": "proof 'QB1' has mass '1/9', not a rational",
+    "stray_id": "the measure gives mass to 'ZZ9', not a proof",
 }
 
 
@@ -145,20 +151,40 @@ def test_invalid_measure_is_refused_when_built(ks, measure, name):
     assert str(exc.value) == BAD_MASS_MESSAGES[name]
 
 
-def test_a_measure_is_refused_with_another_system_object(ks, measure):
-    # an equal system, once listed in the same order and once in reverse: the
-    # measure's masks index positions in its own system's proofs
+def test_a_measure_is_used_and_compared_only_with_its_system_in_its_order():
+    # the measure's masks index positions in its system's goals and proofs:
+    # a second load of the file and a pickled measure keep that order, the
+    # fixture with its proofs or its goals reversed does not
+    ks, again = load_knowledge_system(FIXTURE), load_knowledge_system(FIXTURE)
+    measure = proof_measure(ks)
+    for same, copy in ((again, proof_measure(again)), (ks, pickle.loads(pickle.dumps(measure)))):
+        assert copy == measure
+        for read in READERS.values():
+            assert read(same, measure) == read(ks, copy) == read(ks, measure)
     document = serialize_knowledge_system(ks)
-    same = parse_knowledge_system(document)
     document["proofs"].reverse()
     reordered = parse_knowledge_system(document)
-    assert same == ks and reordered == ks
-    for other in (same, reordered):
+    regoaled = KnowledgeSystem(ks.goals[::-1], [(p.id, p.listing) for p in ks.proofs])
+    for other in (reordered, regoaled):
+        assert other == ks and proof_measure(other) != measure
         for read in READERS.values():
             with pytest.raises(NotADistributionError, match="another knowledge system"):
                 read(other, measure)
+            with pytest.raises(NotADistributionError, match="another knowledge system"):
+                read(ks, proof_measure(other))
     own = proof_measure(reordered)
     assert support(reordered, own, {"Day=Fri"}) == support(ks, measure, {"Day=Fri"})
+
+
+@pytest.mark.parametrize(
+    "read",
+    [support, weight, lambda ks, m, subset: support_ids(ks, subset)],
+    ids=["support", "weight", "support_ids"],
+)
+def test_a_str_subset_is_refused(ks, measure, read):
+    # read one character at a time, "Day=Fri" would have an empty support
+    with pytest.raises(TypeError, match="not the str 'Day=Fri'"):
+        read(ks, measure, "Day=Fri")
 
 
 @pytest.mark.parametrize(

@@ -252,6 +252,7 @@ def test_all_lists_exactly_the_public_names():
         if not name.startswith("_") and not isinstance(value, ModuleType)
     }
     assert sorted(proofinfo.__all__) == sorted(public | {"errors", "__version__"})
+    assert len(proofinfo.__all__) == 41
     namespace: dict = {}
     exec("from proofinfo import *", namespace)
     assert namespace.keys() - {"__builtins__"} == set(proofinfo.__all__)

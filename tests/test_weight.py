@@ -8,7 +8,6 @@ import pytest
 from proofinfo import (
     KnowledgeSystem,
     ProbabilityMeasure,
-    is_certain,
     profile,
     proof_measure,
     weight,
@@ -20,7 +19,7 @@ from frozen import (
     SINGLE_BROADCAST_WEIGHT,
     TRIPLE_WEIGHT,
 )
-from oracles import profile_exhaustive, weight_ratio_form
+from oracles import profile_exhaustive, weight_by_fractions, weight_ratio_form
 from randsys import random_subset, random_system
 
 
@@ -96,15 +95,15 @@ def test_weight_never_rounds_below_zero():
     p1, p2 = Fraction(9967581835502643117, 10**20), Fraction(13, 10**20)
     measure = ProbabilityMeasure(ks, {"P1": p1, "P2": p2, "P3": 1 - p1 - p2})
     assert weight(ks, measure, ["a"]).value >= 0.0
-    assert weight_entry(ks, measure, ["a"])["weight_bits"] == "0.000000"
+    assert weight_entry(ks, ["a"], weight(ks, measure, ["a"]))["weight_bits"] == "0.000000"
     assert profile(ks, measure, "P1") == profile_exhaustive(ks, measure, "P1")
 
 
 def test_is_certain_examples(ks, measure):
-    assert is_certain(ks, {"Win(Dok)"})
-    assert not is_certain(ks, {"Day=Fri"})
-    assert is_certain(ks, ks.by_id["QB3"].formulas)
-    assert not is_certain(ks, {"Zzz"})  # empty support is not certainty
+    assert weight(ks, measure, {"Win(Dok)"}).certain
+    assert not weight(ks, measure, {"Day=Fri"}).certain
+    assert weight(ks, measure, ks.by_id["QB3"].formulas).certain
+    assert not weight(ks, measure, {"Zzz"}).certain  # empty support is not certainty
 
 
 def test_full_proof_bodies_have_zero_weight(ks, measure):
@@ -156,8 +155,9 @@ def test_certain_subsets_weigh_exactly_zero_on_random_systems():
         m = proof_measure(ks)
         for p in ks.proofs:
             for s in (p.formulas, random_subset(rng, p.formulas)):
-                if is_certain(ks, s):
-                    assert weight(ks, m, s).value == 0.0
+                if weight_by_fractions(ks, m, s).certain:
+                    result = weight(ks, m, s)
+                    assert result.certain and result.value == 0.0
 
 
 def test_weight_antitone_under_subset_growth():
