@@ -19,9 +19,9 @@ from .errors import (
     SizeOutOfRangeError,
     UnknownProofIdError,
 )
-from .measure import ProbabilityMeasure, _require_system, _support_mask
+from .measure import ProbabilityMeasure, _goal_masses, _require_system, _support_mask
 from .model import KnowledgeSystem, Proof, _Record
-from .weight import _weigh, weight
+from .weight import _difference_form, _LogTerms, _rivals, weight
 
 # Subsets a search may visit before it gives up. A visited subset costs one
 # AND, a popcount per goal and the log terms. When no subset is settled or
@@ -106,8 +106,26 @@ def certainty_threshold(ks: KnowledgeSystem, proof_id: str) -> int:
     1..len(proof): Q cannot contain P's goal.
     """
     p = _resolve_proof(ks, proof_id)
-    others = (len(p.formulas & q.formulas) for q in ks.proofs if q.goal != p.goal)
-    return 1 + max(others, default=0)
+    rivals = _rivals(ks, p.goal)
+    # bit i of planes[j] is bit j of |P & Q| for the proof Q at position i:
+    # each formula of P adds 1 to the count of every rival holding it
+    planes: list[int] = []
+    for f in p.formulas:
+        carry = ks._formula_masks[f] & rivals
+        for j, plane in enumerate(planes):
+            planes[j], carry = plane ^ carry, plane & carry
+            if not carry:
+                break
+        if carry:
+            planes.append(carry)
+    # the largest count, read from the top plane down: of the rivals tied so
+    # far, keep those with bit j whenever some of them have it
+    tied, largest = rivals, 0
+    for j in reversed(range(len(planes))):
+        if tied & planes[j]:
+            tied &= planes[j]
+            largest |= 1 << j
+    return 1 + largest
 
 
 def profile(ks: KnowledgeSystem, measure: ProbabilityMeasure, proof_id: str) -> WeightProfile:
@@ -142,6 +160,10 @@ def profile(ks: KnowledgeSystem, measure: ProbabilityMeasure, proof_id: str) -> 
     z = certainty_threshold(ks, p.id)
     items = sorted(p.formulas)
     item_masks = [ks._formula_masks[f] for f in items]
+    # every subset of p holds p in its support, so it is a structural zero
+    # exactly when its support meets no rival of p
+    rivals = _rivals(ks, p.goal)
+    terms = _LogTerms(measure)
     best = [-math.inf] * z + [0.0] * (n + 1 - z)
     witness: list[tuple[str, ...]] = [()] * z + [tuple(items[:k]) for k in range(z, n + 1)]
     # the visited subset is items[i] for i in path, and masks[d] is the support
@@ -157,21 +179,26 @@ def profile(ks: KnowledgeSystem, measure: ProbabilityMeasure, proof_id: str) -> 
                 f"subsets ({nodes} visited)"
             )
         size, start = len(path), (path[-1] + 1 if path else 0)
-        value, settled = _weigh(measure, masks[-1])
+        mask = masks[-1]
+        settled = not mask & rivals
+        value = 0.0 if settled else _difference_form(_goal_masses(measure, mask), terms)
         if value > best[size]:
             best[size], witness[size] = value, tuple(items[i] for i in path)
-        reach = range(size + 1, min(size + n - start + 1, z))
+        # the sizes below z a completion of this subset can reach
+        lo, hi = size + 1, min(size + n - start + 1, z)
         if settled:
             # settled subtree: every completion keeps weight exactly 0.0, so
             # each size without an incumbent yet takes its lexicographically
             # first completion (preserves tie order) and the rest is skipped
-            for k in reach:
+            for k in range(lo, hi):
                 if best[k] < 0.0:
                     best[k] = 0.0
                     witness[k] = (*(items[i] for i in path), *items[start:start + k - size])
-        elif not all(value <= best[k] - _PRUNE_MARGIN for k in reach):
+        elif lo < hi and value > min(best[lo:hi]) - _PRUNE_MARGIN:
+            # x - _PRUNE_MARGIN rounds monotonically in x, so this is "value
+            # could beat the incumbent at some reachable size"
             path.append(start)
-            masks.append(masks[-1] & item_masks[start])
+            masks.append(mask & item_masks[start])
             continue
         # subtree done: go on to the next sibling of the deepest subset with one
         while path and path[-1] == n - 1:

@@ -143,10 +143,12 @@ def _goal_masses(measure: ProbabilityMeasure, mask: int) -> list[int]:
     return masses
 
 
-def _support(ks: KnowledgeSystem, measure: ProbabilityMeasure, mask: int) -> Support:
-    """The Support of `mask` on `ks`, for a measure built for `ks` (else raises)."""
-    _require_system(ks, measure)
-    masses, denominator = _goal_masses(measure, mask), measure._denominator
+def _support(
+    ks: KnowledgeSystem, measure: ProbabilityMeasure, mask: int, masses: list[int]
+) -> Support:
+    """The Support of `mask` on `ks`, for a measure built for `ks` and the
+    per-goal masses `_goal_masses(measure, mask)`."""
+    denominator = measure._denominator
     return Support(
         proofs=_mask_ids(ks, mask),
         per_goal_mass={g: Fraction(n, denominator) for g, n in zip(ks.goals, masses)},
@@ -167,7 +169,9 @@ def support(
     Any subset is legal: the empty set selects every proof, a formula absent
     from all proofs yields an empty support with mass zero.
     """
-    return _support(ks, measure, _support_mask(ks, subset))
+    mask = _support_mask(ks, subset)
+    _require_system(ks, measure)
+    return _support(ks, measure, mask, _goal_masses(measure, mask))
 
 
 def shannon_entropy(dist: Iterable[Fraction | int | str]) -> float:

@@ -14,6 +14,7 @@ import re
 from collections import Counter
 from collections.abc import Iterable
 from fractions import Fraction
+from itertools import repeat
 from operator import attrgetter
 from pathlib import Path
 from types import MappingProxyType
@@ -141,13 +142,11 @@ class KnowledgeSystem(_Record):
     system is built and validated again from the goals and the listings.
 
     The support index is private: _formula_masks maps each formula to the
-    bitmask of the positions in `proofs` of the proofs containing it, and
-    _class_masks holds each goal class's mask, in goal order.
+    bitmask of the positions in `proofs` of the proofs containing it; the
+    mask of a goal is its class, since a proof holds no other goal.
     """
 
-    __slots__ = (
-        "goals", "goal_set", "proofs", "by_id", "classes", "M", "_formula_masks", "_class_masks",
-    )
+    __slots__ = ("goals", "goal_set", "proofs", "by_id", "classes", "M", "_formula_masks")
 
     def __init__(
         self,
@@ -183,15 +182,21 @@ class KnowledgeSystem(_Record):
                 raise DuplicateProofIdError(f"proof id {pid!r} used twice")
             seen_ids.add(pid)
 
-            listing: list[str] = []
-            for pos, raw in enumerate(raw_formulas):
-                text = normalized.get(raw) if isinstance(raw, str) else None
-                if text is None:
-                    try:
-                        text = normalized[raw] = normalize_formula(raw)
-                    except EmptyFormulaError as exc:
-                        raise EmptyFormulaError(f"proof {pid!r}, formulas[{pos}]: {exc}") from exc
-                listing.append(text)
+            raw_formulas = list(raw_formulas)
+            try:
+                listing = list(map(normalized.__getitem__, raw_formulas))
+            except (KeyError, TypeError):  # a string not seen yet, or not a string
+                listing = []
+                for pos, raw in enumerate(raw_formulas):
+                    text = normalized.get(raw) if isinstance(raw, str) else None
+                    if text is None:
+                        try:
+                            text = normalized[raw] = normalize_formula(raw)
+                        except EmptyFormulaError as exc:
+                            raise EmptyFormulaError(
+                                f"proof {pid!r}, formulas[{pos}]: {exc}"
+                            ) from exc
+                    listing.append(text)
             body = frozenset(listing)
             if not body:
                 raise NoGoalInProofError(f"proof {pid!r} contains no formulas")
@@ -210,8 +215,9 @@ class KnowledgeSystem(_Record):
                     f"proofs {seen_bodies[body]!r} and {pid!r} have identical formula sets"
                 )
             seen_bodies[body] = pid
+            bit = 1 << len(built)
             for f in body:
-                formula_masks[f] = formula_masks.get(f, 0) | 1 << len(built)
+                formula_masks[f] = formula_masks.get(f, 0) | bit
             (goal,) = goals_in
             classes[goal].append(pid)
             built.append(Proof(pid, body, goal, tuple(listing)))
@@ -227,8 +233,6 @@ class KnowledgeSystem(_Record):
             MappingProxyType({g: tuple(members) for g, members in classes.items()}),
             len(goal_list),
             MappingProxyType(formula_masks),
-            # a proof contains a goal exactly when that goal is its own
-            tuple(formula_masks[g] for g in goal_list),
         )
 
     @staticmethod
@@ -264,7 +268,7 @@ def parse_knowledge_system(document: object) -> KnowledgeSystem:
         raise MalformedDocumentError(f"missing top-level keys: {sorted(missing)}")
 
     goals = document["goals"]
-    if not isinstance(goals, list) or not all(isinstance(g, str) for g in goals):
+    if not isinstance(goals, list) or not all(map(isinstance, goals, repeat(str))):
         raise MalformedDocumentError("'goals' must be an array of strings")
 
     raw_proofs = document["proofs"]
@@ -282,7 +286,7 @@ def parse_knowledge_system(document: object) -> KnowledgeSystem:
         pid, formulas = entry["id"], entry["formulas"]
         if not isinstance(pid, str):
             raise MalformedDocumentError(f"proofs[{pos}]: 'id' must be a string")
-        if not isinstance(formulas, list) or not all(isinstance(f, str) for f in formulas):
+        if not isinstance(formulas, list) or not all(map(isinstance, formulas, repeat(str))):
             raise MalformedDocumentError(f"proofs[{pos}]: 'formulas' must be an array of strings")
         pairs.append((pid, formulas))
 

@@ -11,7 +11,14 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 
-from .measure import ProbabilityMeasure, Support, _goal_masses, _support, _support_mask
+from .measure import (
+    ProbabilityMeasure,
+    Support,
+    _goal_masses,
+    _require_system,
+    _support,
+    _support_mask,
+)
 from .model import KnowledgeSystem, _Record
 
 
@@ -29,45 +36,51 @@ class WeightResult(_Record):
         self._set(value, support, certain, empty_support)
 
 
+def _rivals(ks: KnowledgeSystem, goal: str) -> int:
+    """Mask of the proofs of goals other than `goal`; a proof contains a goal
+    exactly when that goal is its own, so the goal's own mask is its class."""
+    return _support_mask(ks, ()) ^ ks._formula_masks[goal]
+
+
 def _structural_zero(ks: KnowledgeSystem, mask: int) -> bool:
     """True iff the support `mask` is empty or inside one goal class, exactly
-    when its weight is 0. Purely structural; needs no measure and no floating
-    point."""
-    hit = False
-    for cls in ks._class_masks:
-        if mask & cls:
-            if hit:
-                return False
-            hit = True
-    return True
+    when its weight is 0: when it meets no rival of its first member. Purely
+    structural; needs no measure and no floating point."""
+    if not mask:
+        return True
+    first = ks.proofs[(mask & -mask).bit_length() - 1]
+    return not mask & _rivals(ks, first.goal)
 
 
-def _difference_form(masses: list[int], denominator: int) -> float:
+class _LogTerms(dict):
+    """-m * log2(m) for the mass m = n / L of a measure, keyed by the integer
+    n and computed on first use; 0.0 for a mass whose float is 0, which adds
+    no term (0*log(0) = 0). Built for one call, so it holds no more entries
+    than that call weighs distinct masses."""
+
+    __slots__ = ("_denominator",)
+
+    def __init__(self, measure: ProbabilityMeasure) -> None:
+        self._denominator = measure._denominator
+
+    def __missing__(self, n: int) -> float:
+        m = n / self._denominator
+        term = self[n] = -m * math.log2(m) if m else 0.0
+        return term
+
+
+def _difference_form(masses: list[int], terms: _LogTerms) -> float:
     """sum_g -m_g * log2(m_g) + T * log2(T) for the masses m_g = masses[g] / L
     and their total T, with 0*log(0) = 0 also for a float 0, and 0.0 where
     the terms cancel to below 0: a weight is never negative.
 
     Each int/int division is correctly rounded, so every term equals the
-    float of the exact Fraction mass; math.fsum rounds the exact sum of the
-    terms once, so the value does not depend on the order of the goals."""
-    terms = []
-    for n in masses:
-        m = n / denominator
-        if m:
-            terms.append(-m * math.log2(m))
-    total = sum(masses) / denominator
-    if total:
-        terms.append(total * math.log2(total))
-    value = math.fsum(terms)
+    float of the exact Fraction mass, and T * log2(T) is the exact negation
+    of T's table entry; math.fsum rounds the exact sum of the terms once, so
+    the value does not depend on the order of the goals, and a zero term
+    changes nothing."""
+    value = math.fsum([*map(terms.__getitem__, masses), -terms[sum(masses)]])
     return value if value > 0.0 else 0.0
-
-
-def _weigh(measure: ProbabilityMeasure, mask: int) -> tuple[float, bool]:
-    """Weight of the support `mask` and whether it is a structural zero; when
-    it is, the two log terms cancel exactly and the value is 0.0."""
-    if _structural_zero(measure.system, mask):
-        return 0.0, True
-    return _difference_form(_goal_masses(measure, mask), measure._denominator), False
 
 
 def weight(
@@ -83,8 +96,14 @@ def weight(
     with empty_support set, so a zero is never mistaken for certainty.
     """
     mask = _support_mask(ks, subset)
-    sup = _support(ks, measure, mask)
-    value, settled = _weigh(measure, mask)
+    _require_system(ks, measure)
+    masses = _goal_masses(measure, mask)
+    # a structural zero's two log terms cancel exactly: its value is 0.0
+    settled = _structural_zero(ks, mask)
+    value = 0.0 if settled else _difference_form(masses, _LogTerms(measure))
     return WeightResult(
-        value=value, support=sup, certain=settled and mask != 0, empty_support=mask == 0
+        value=value,
+        support=_support(ks, measure, mask, masses),
+        certain=settled and mask != 0,
+        empty_support=mask == 0,
     )

@@ -79,6 +79,15 @@ def weight_ratio_form(ks, measure, subset) -> float:
     return acc
 
 
+def certainty_threshold_scan(ks, proof_id) -> int:
+    """Same threshold as certainty_threshold(), as 1 + the largest overlap
+    |P & Q| of the proof P with a proof Q of another goal, by intersecting
+    the formula sets."""
+    p = ks.by_id[proof_id]
+    others = (len(p.formulas & q.formulas) for q in ks.proofs if q.goal != p.goal)
+    return 1 + max(others, default=0)
+
+
 def max_subset_weight_exhaustive(ks, measure, proof_id, size) -> float:
     """Same maximum as max_subset_weight, by plain enumeration (no pruning).
 

@@ -29,7 +29,7 @@ from frozen import (
     SINGLE_BROADCAST_WEIGHT,
     TRIPLE_WEIGHT,
 )
-from oracles import max_subset_weight_exhaustive, profile_exhaustive
+from oracles import certainty_threshold_scan, max_subset_weight_exhaustive, profile_exhaustive
 from randsys import random_system
 
 
@@ -143,6 +143,41 @@ def test_fixture_certainty_thresholds(ks):
     assert certainty_threshold(ks, "QD2") == 3
     assert certainty_threshold(ks, "QD3") == 3
     assert certainty_threshold(ks, "QF1") == 4
+
+
+@pytest.mark.parametrize(
+    "goals, proofs, expected",
+    [
+        # one goal: no rivals, certain from the first formula
+        (["g"], [("P1", ["g", "a", "b"]), ("P2", ["g", "a"])], 1),
+        # twins that share every filler
+        (["g", "h"], [("P1", ["g", "a", "b", "c"]), ("P2", ["h", "a", "b", "c"])], 4),
+        # three rivals tied at the largest overlap, and one below it
+        (
+            ["g", "h", "k"],
+            [
+                ("P1", ["g", "a", "b", "c", "d"]),
+                ("P2", ["h", "a", "b"]),
+                ("P3", ["h", "c", "d", "e"]),
+                ("P4", ["k", "a", "c"]),
+                ("P5", ["k", "b"]),
+            ],
+            3,
+        ),
+    ],
+    ids=["one_goal", "twins", "tied_rivals"],
+)
+def test_threshold_equals_the_scan_at_the_edges(goals, proofs, expected):
+    ks = KnowledgeSystem(goals, proofs)
+    assert certainty_threshold(ks, "P1") == certainty_threshold_scan(ks, "P1") == expected
+
+
+def test_threshold_equals_the_scan_on_random_systems():
+    rng = random.Random(23)
+    for _ in range(300):
+        ks = random_system(rng, max_goals=5, max_class_size=5, max_fillers=12, max_extra=10)
+        for p in ks.proofs:
+            assert certainty_threshold(ks, p.id) == certainty_threshold_scan(ks, p.id)
 
 
 def test_threshold_boundary_is_structural(ks, measure):

@@ -200,7 +200,6 @@ def test_knowledge_system_copies_and_pickles_as_an_equal_system():
         assert other == ks and hash(other) == hash(ks)
         assert serialize_knowledge_system(other) == serialize_knowledge_system(ks)
         assert other._formula_masks == ks._formula_masks
-        assert other._class_masks == ks._class_masks
 
 
 def test_knowledge_systems_compare_by_goal_set_and_proof_bodies():

@@ -1,3 +1,4 @@
+import importlib
 import math
 import random
 from fractions import Fraction
@@ -87,6 +88,26 @@ def test_support_of_float_zero_masses_weighs_zero(tiny):
     assert res.value == 0.0
     assert res.certain is False
     assert res.empty_support is False
+    # the search weighs {"a"} through its own table of log terms
+    assert profile(ks, measure, "P1") == profile_exhaustive(ks, measure, "P1")
+
+
+def test_weight_computes_the_support_masses_once(ks, measure, monkeypatch):
+    # the package binds the name `weight` to the function, so the modules
+    # are looked up by name
+    calls = []
+    for name in ("proofinfo.measure", "proofinfo.weight"):
+        module = importlib.import_module(name)
+        counted = module._goal_masses
+
+        def wrapper(*args, _fn=counted):
+            calls.append(args)
+            return _fn(*args)
+
+        monkeypatch.setattr(module, "_goal_masses", wrapper)
+    res = weight(ks, measure, {"Day=Fri"})
+    assert not res.certain and res.value > 0.0
+    assert len(calls) == 1
 
 
 def test_weight_never_rounds_below_zero():
