@@ -24,12 +24,13 @@ from .model import KnowledgeSystem, Proof, _Record
 from .weight import _difference_form, _LogTerms, _rivals, weight
 
 # Subsets a search may visit before it gives up. A visited subset costs one
-# AND, a popcount per goal and the log terms. When no subset is settled or
-# pruned that is 4.4 us on a 1000-proof, 8-goal system and 8.1 us on a
-# 4000-proof, 16-goal one (2-core Xeon VM, Python 3.11), so a search that
-# reaches the budget ends in about 40 s and 70 s. Every profile of a proof
-# with at most 23 formulas (2**23 subsets) fits. It also caps the n(n+1)/2
-# witness formulas of an n-formula profile: over 4095 formulas are refused.
+# AND, the rival test, a popcount per goal and a table lookup per log term.
+# When no subset is settled or pruned that is 3.7 us on a 1000-proof, 8-goal
+# system and 5.9 us on a 4000-proof, 16-goal one (2-core Xeon VM, Python
+# 3.11), so a search that reaches the budget ends in about 30 s and 50 s.
+# Every profile of a proof with at most 23 formulas (2**23 subsets) fits. It
+# also caps the n(n+1)/2 witness formulas of an n-formula profile: over 4095
+# formulas are refused.
 MAX_SEARCH_NODES = 1 << 23
 
 # Pruning bound tolerance. Weight is non-increasing under subset growth, so

@@ -12,12 +12,7 @@ import math
 from collections.abc import Iterable
 
 from .measure import (
-    ProbabilityMeasure,
-    Support,
-    _goal_masses,
-    _require_system,
-    _support,
-    _support_mask,
+    ProbabilityMeasure, Support, _goal_masses, _require_system, _support, _support_mask,
 )
 from .model import KnowledgeSystem, _Record
 
@@ -43,9 +38,9 @@ def _rivals(ks: KnowledgeSystem, goal: str) -> int:
 
 
 def _structural_zero(ks: KnowledgeSystem, mask: int) -> bool:
-    """True iff the support `mask` is empty or inside one goal class, exactly
-    when its weight is 0: when it meets no rival of its first member. Purely
-    structural; needs no measure and no floating point."""
+    """True iff the support `mask` is empty or inside one goal class, that is
+    when it meets no rival of its first member; its weight is then exactly 0.
+    Purely structural; needs no measure and no floating point."""
     if not mask:
         return True
     first = ks.proofs[(mask & -mask).bit_length() - 1]
@@ -55,8 +50,8 @@ def _structural_zero(ks: KnowledgeSystem, mask: int) -> bool:
 class _LogTerms(dict):
     """-m * log2(m) for the mass m = n / L of a measure, keyed by the integer
     n and computed on first use; 0.0 for a mass whose float is 0, which adds
-    no term (0*log(0) = 0). Built for one call, so it holds no more entries
-    than that call weighs distinct masses."""
+    no term (0*log(0) = 0). A search builds one and weight() its own, so no
+    table outlives a call."""
 
     __slots__ = ("_denominator",)
 
