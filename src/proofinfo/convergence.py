@@ -21,7 +21,7 @@ from .errors import (
 )
 from .measure import ProbabilityMeasure, _goal_masses, _require_system, _support_mask
 from .model import KnowledgeSystem, Proof, _Record
-from .weight import _difference_form, _LogTerms, _rivals, weight
+from .weight import _difference_form, _log_terms, _rivals, weight
 
 # Subsets a search may visit before it gives up. A visited subset costs one
 # AND, the rival test, a popcount per goal and a table lookup per log term.
@@ -164,7 +164,7 @@ def profile(ks: KnowledgeSystem, measure: ProbabilityMeasure, proof_id: str) -> 
     # every subset of p holds p in its support, so it is a structural zero
     # exactly when its support meets no rival of p
     rivals = _rivals(ks, p.goal)
-    terms = _LogTerms(measure)
+    terms = _log_terms(measure)
     best = [-math.inf] * z + [0.0] * (n + 1 - z)
     witness: list[tuple[str, ...]] = [()] * z + [tuple(items[:k]) for k in range(z, n + 1)]
     # the visited subset is items[i] for i in path, and masks[d] is the support

@@ -45,7 +45,7 @@ from .errors import (
     UnknownNameError,
     UnparsableFormulaError,
 )
-from .model import KnowledgeSystem, _Record, normalize_formula
+from .model import KnowledgeSystem, _collection, _Memo, _Record, normalize_formula
 
 TRUTHFUL = "truthful"
 DECEITFUL = "deceitful"
@@ -74,9 +74,12 @@ class WorldSpec(_Record):
         day_domain: Iterable[str],
         truthful_days: Mapping[str, Iterable[str]],
     ) -> None:
-        participants = tuple(participants)
-        day_domain = tuple(day_domain)
-        schedules = {source: frozenset(days) for source, days in truthful_days.items()}
+        participants = tuple(_collection(participants, "participants"))
+        day_domain = tuple(_collection(day_domain, "day domain"))
+        schedules = {
+            source: frozenset(_collection(days, f"source {source!r}: truthful days"))
+            for source, days in truthful_days.items()
+        }
         if len(set(participants)) < 2:
             raise MalformedDocumentError("a world needs at least two distinct participants")
         if len(set(participants)) != len(participants):
@@ -597,17 +600,11 @@ def check_knowledge_system(
     Each distinct text is parsed once, in the order of first use, so the
     first bad formula still raises; steps share the frozen `KFormula`.
     """
-    parsed: dict[str, KFormula] = {}
-
-    def parse(text: str) -> KFormula:
-        formula = parsed.get(text)
-        if formula is None:
-            formula = parsed[text] = parse_kformula(text, world)
-        return formula
-
-    goal_forms = {parse(g) for g in ks.goals}
+    # world goes by position, the one signature a wrapped parse_kformula must keep
+    parsed = _Memo(lambda text: parse_kformula(text, world))
+    goal_forms = {parsed[g] for g in ks.goals}
     return tuple(
-        check_proof(world, [parse(t) for t in p.listing], goal_forms, p.id, strict)
+        check_proof(world, list(map(parsed.__getitem__, p.listing)), goal_forms, p.id, strict)
         for p in ks.proofs
     )
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from .errors import NotADistributionError
-from .model import _MAX_DIGITS, KnowledgeSystem, _parse_probability, _printable, _Record
+from .model import _MAX_DIGITS, KnowledgeSystem, _collection, _printable, _Record, normalize_formula
 
 
 class ProbabilityMeasure(_Record):
@@ -67,13 +67,14 @@ def proof_measure(ks: KnowledgeSystem) -> ProbabilityMeasure:
 
 def _support_mask(ks: KnowledgeSystem, subset: Iterable[str]) -> int:
     """Bitmask, over positions in ks.proofs, of the proofs containing `subset`:
-    the AND of its formulas' masks, all proofs for the empty subset. A str,
-    which would be read one character at a time, raises TypeError."""
-    if isinstance(subset, str):
-        raise TypeError(f"a subset is a collection of formulas, not the str {subset!r}")
+    the AND of its formulas' masks, each formula normalized as the system reads
+    it, all proofs for the empty subset. An empty formula raises
+    EmptyFormulaError, and a str in place of the subset TypeError."""
     masks = ks._formula_masks
     mask = (1 << len(ks.proofs)) - 1
-    for formula in subset:
+    for formula in _collection(subset, "a subset"):
+        if formula not in masks:
+            formula = normalize_formula(formula)
         mask &= masks.get(formula, 0)
     return mask
 
@@ -174,16 +175,16 @@ def support(
     return _support(ks, measure, mask, _goal_masses(measure, mask))
 
 
-def shannon_entropy(dist: Iterable[Fraction | int | str]) -> float:
+def shannon_entropy(dist: Iterable[Fraction | int]) -> float:
     """Shannon entropy in bits of an exact distribution, with 0*log(0) = 0.
 
-    Entries must be nonnegative rationals summing to one exactly (strings
-    like "1/4" are read exactly); an entry too small for a float adds 0.
+    Entries must be nonnegative Fractions or ints summing to one exactly; a
+    str or a float is refused. An entry too small for a float adds 0.
     """
-    try:
-        probs = [_parse_probability(p) for p in dist]
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
-        raise NotADistributionError(f"not an exact probability: {exc}") from exc
+    probs = list(dist)
+    for p in probs:
+        if not isinstance(getattr(p, "denominator", None), int):
+            raise NotADistributionError(f"not an exact probability: {p!r} is not a rational")
     if any(p < 0 for p in probs):
         raise NotADistributionError("probabilities must be nonnegative")
     total = sum(probs, Fraction(0))

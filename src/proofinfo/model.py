@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from fractions import Fraction
 from itertools import repeat
 from operator import attrgetter
@@ -50,6 +50,27 @@ def normalize_formula(raw: str) -> str:
     if not text:
         raise EmptyFormulaError(f"formula is empty after normalization: {raw!r}")
     return text
+
+
+def _collection(values: Iterable, what: str) -> Iterable:
+    """`values`; a str, which would be read one character at a time, raises TypeError."""
+    if isinstance(values, str):
+        raise TypeError(f"{what} is a collection, not the str {values!r}")
+    return values
+
+
+class _Memo(dict):
+    """A dict that fills itself: a missing key k gets fn(k), stored unless fn
+    raises. Each call that reads one builds its own, so none outlives a call."""
+
+    __slots__ = ("_fn",)
+
+    def __init__(self, fn: Callable) -> None:
+        self._fn = fn
+
+    def __missing__(self, key: object) -> object:
+        value = self[key] = self._fn(key)
+        return value
 
 
 class _Record:
@@ -153,10 +174,12 @@ class KnowledgeSystem(_Record):
         goals: Iterable[str],
         proofs: Iterable[tuple[str, Iterable[str]]],
     ) -> None:
+        # each distinct string is normalized once (large systems repeat a few dozen)
+        normalized = _Memo(normalize_formula)
         goal_list: list[str] = []
-        for pos, raw in enumerate(goals):
+        for pos, raw in enumerate(_collection(goals, "goals")):
             try:
-                text = normalize_formula(raw)
+                text = normalized[raw]
             except EmptyFormulaError as exc:
                 raise EmptyFormulaError(f"goals[{pos}]: {exc}") from exc
             if text in goal_list:
@@ -170,9 +193,6 @@ class KnowledgeSystem(_Record):
         built: list[Proof] = []
         classes: dict[str, list[str]] = {g: [] for g in goal_list}
         formula_masks: dict[str, int] = {}
-        # each distinct string once (large systems repeat a few dozen); a
-        # non-string still goes to normalize_formula, whose error it gets
-        normalized: dict[str, str] = {}
         seen_ids: set[str] = set()
         seen_bodies: dict[frozenset[str], str] = {}
         for pid, raw_formulas in proofs:
@@ -182,21 +202,13 @@ class KnowledgeSystem(_Record):
                 raise DuplicateProofIdError(f"proof id {pid!r} used twice")
             seen_ids.add(pid)
 
-            raw_formulas = list(raw_formulas)
+            raw_formulas = list(_collection(raw_formulas, "a proof's formulas"))
             try:
                 listing = list(map(normalized.__getitem__, raw_formulas))
-            except (KeyError, TypeError):  # a string not seen yet, or not a string
-                listing = []
-                for pos, raw in enumerate(raw_formulas):
-                    text = normalized.get(raw) if isinstance(raw, str) else None
-                    if text is None:
-                        try:
-                            text = normalized[raw] = normalize_formula(raw)
-                        except EmptyFormulaError as exc:
-                            raise EmptyFormulaError(
-                                f"proof {pid!r}, formulas[{pos}]: {exc}"
-                            ) from exc
-                    listing.append(text)
+            except EmptyFormulaError as exc:
+                # the table holds every formula before the refused one
+                pos = next(pos for pos, raw in enumerate(raw_formulas) if raw not in normalized)
+                raise EmptyFormulaError(f"proof {pid!r}, formulas[{pos}]: {exc}") from exc
             body = frozenset(listing)
             if not body:
                 raise NoGoalInProofError(f"proof {pid!r} contains no formulas")
@@ -319,21 +331,19 @@ def _decode_json(text: str) -> object:
 
 
 # Python's default limit on the digits of an int read from or written as a
-# string. A probability given as a string is held to it, so a short entry
+# string. A probability read from text is held to it, so a short entry
 # such as "1e-999999999" is refused before it builds a huge power of ten,
 # and every accepted entry can be printed back.
 _MAX_DIGITS = 4300
 _EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
 
 
-def _parse_probability(value: Fraction | int | str) -> Fraction:
+def _parse_probability(value: str) -> Fraction:
     """The exact rational of one distribution entry, as Fraction() reads it.
 
     A string whose decimal exponent or value needs more than _MAX_DIGITS
     digits raises ValueError.
     """
-    if not isinstance(value, str):
-        return Fraction(value)
     exponent = _EXPONENT.search(value)
     # an exponent of at most four digits is cheap to expand, and the value
     # check below refuses whatever it takes past _MAX_DIGITS

@@ -17,7 +17,7 @@ from . import __version__
 from .convergence import profile
 from .kernel import CheckedProof
 from .measure import ProbabilityMeasure
-from .model import KnowledgeSystem, serialize_knowledge_system
+from .model import KnowledgeSystem, _Memo, serialize_knowledge_system
 from .weight import WeightResult
 
 REPORT_SCHEMA = "proofinfo.report/1"
@@ -130,12 +130,7 @@ def render_json(report: dict) -> str:
     # a pad is the newline and indent that close one level; each pad maps to
     # the next level's pad and the strings that open a dict, open a list and
     # separate items there, built once per depth rather than per container
-    levels: dict[str, tuple[str, str, str, str]] = {}
-
-    def nest(pad: str) -> tuple[str, str, str, str]:
-        inner = pad + "  "
-        levels[pad] = level = (inner, "{" + inner, "[" + inner, "," + inner)
-        return level
+    levels = _Memo(lambda pad: (pad + "  ", "{" + pad + "  ", "[" + pad + "  ", "," + pad + "  "))
 
     def write(value: object, pad: str) -> None:
         if isinstance(value, str):
@@ -144,7 +139,7 @@ def render_json(report: dict) -> str:
             if not value:
                 add("{}")
                 return
-            inner, sep, _, comma = levels.get(pad) or nest(pad)
+            inner, sep, _, comma = levels[pad]
             for key, item in value.items():
                 add(sep)
                 add(encode_basestring(key))
@@ -157,7 +152,7 @@ def render_json(report: dict) -> str:
             if not value:
                 add("[]")
                 return
-            inner, _, sep, comma = levels.get(pad) or nest(pad)
+            inner, _, sep, comma = levels[pad]
             for item in value:
                 add(sep)
                 write(item, inner)

@@ -14,7 +14,7 @@ from collections.abc import Iterable
 from .measure import (
     ProbabilityMeasure, Support, _goal_masses, _require_system, _support, _support_mask,
 )
-from .model import KnowledgeSystem, _Record
+from .model import KnowledgeSystem, _Memo, _Record
 
 
 class WeightResult(_Record):
@@ -47,24 +47,20 @@ def _structural_zero(ks: KnowledgeSystem, mask: int) -> bool:
     return not mask & _rivals(ks, first.goal)
 
 
-class _LogTerms(dict):
-    """-m * log2(m) for the mass m = n / L of a measure, keyed by the integer
+def _log_terms(measure: ProbabilityMeasure) -> _Memo:
+    """-m * log2(m) for the mass m = n / L of `measure`, keyed by the integer
     n and computed on first use; 0.0 for a mass whose float is 0, which adds
-    no term (0*log(0) = 0). A search builds one and weight() its own, so no
-    table outlives a call."""
+    no term (0*log(0) = 0). A search builds one table and weight() its own."""
+    denominator = measure._denominator
 
-    __slots__ = ("_denominator",)
+    def term(n: int) -> float:
+        m = n / denominator
+        return -m * math.log2(m) if m else 0.0
 
-    def __init__(self, measure: ProbabilityMeasure) -> None:
-        self._denominator = measure._denominator
-
-    def __missing__(self, n: int) -> float:
-        m = n / self._denominator
-        term = self[n] = -m * math.log2(m) if m else 0.0
-        return term
+    return _Memo(term)
 
 
-def _difference_form(masses: list[int], terms: _LogTerms) -> float:
+def _difference_form(masses: list[int], terms: _Memo) -> float:
     """sum_g -m_g * log2(m_g) + T * log2(T) for the masses m_g = masses[g] / L
     and their total T, with 0*log(0) = 0 also for a float 0, and 0.0 where
     the terms cancel to below 0: a weight is never negative.
@@ -95,7 +91,7 @@ def weight(
     masses = _goal_masses(measure, mask)
     # a structural zero's two log terms cancel exactly: its value is 0.0
     settled = _structural_zero(ks, mask)
-    value = 0.0 if settled else _difference_form(masses, _LogTerms(measure))
+    value = 0.0 if settled else _difference_form(masses, _log_terms(measure))
     return WeightResult(
         value=value,
         support=_support(ks, measure, mask, masses),

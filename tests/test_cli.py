@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from proofinfo import convergence
+from proofinfo import convergence, model
 from proofinfo.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -194,53 +194,49 @@ def test_profile_all(capsys):
     ]
 
 
-def test_profile_all_matches_golden(capsys, monkeypatch):
-    # the report echoes the path as given, so run from the repository root
-    monkeypatch.chdir(Path(__file__).parent.parent)
-    code, out, _ = run(capsys, "profile", "tests/data/fixture.json", "--all")
-    assert code == 0
-    assert out.encode("utf-8") == (GOLDEN / "profile_fixture.json").read_bytes()
+# The golden table: every report golden file in tests/golden, with the argv
+# that writes it and the exit code. The paths are relative to the repository
+# root, as the reports echo them. CI runs this test under fixed hash seeds.
+GOLDEN_ROWS = [
+    (("demo", "--format", "table"), 0, "demo_table.txt"),
+    (("check", "tests/data/world.json", "tests/data/fixture.json", "--strict", "--format", "table"),
+     2, "check_strict_table.txt"),
+    (("entropy", "--dist", "1/4,1/4,1/2", "--format", "table"), 0, "entropy_table.txt"),
+    (("validate", "tests/data/no_formulas.json", "--format", "table"), 2,
+     "validate_no_formulas_table.txt"),
+    (("weight", "tests/data/fixture.json", "--subset", "Win(Bok)", "--format", "table"), 0,
+     "weight_certain_table.txt"),
+    (("weight", "tests/data/fixture.json", "--subset", "Nope", "--format", "table"), 0,
+     "weight_empty_support_table.txt"),
+    (("profile", "tests/data/fixture.json", "--all", "--format", "table"), 0,
+     "profile_fixture_table.txt"),
+    (("check", "tests/data/world.json", "tests/data/fixture.json", "--format", "table"), 0,
+     "check_table.txt"),
+    (("demo",), 0, "demo.json"),
+    (("profile", "tests/data/fixture.json", "--all"), 0, "profile_fixture.json"),
+    (("weight", "tests/data/fixture.json", "--subset", ""), 0, "weight_empty.json"),
+    (("weight", "tests/data/fixture.json", "--subset", "Day≠Fri"), 0, "weight_day_not_fri.json"),
+    (("validate", "tests/data/fixture.json"), 0, "validate_fixture.json"),
+    (("entropy", "--dist", "1/4,1/4,1/2"), 0, "entropy.json"),
+    (("check", "tests/data/world.json", "tests/data/fixture.json"), 0, "check_report.json"),
+    (("check", "tests/data/world.json", "tests/data/fixture.json", "--strict"), 2,
+     "check_report_strict.json"),
+]
 
 
-@pytest.mark.parametrize(
-    ("argv", "golden"),
-    [
-        (("weight", "tests/data/fixture.json", "--subset", ""), "weight_empty.json"),
-        (("weight", "tests/data/fixture.json", "--subset", "Day≠Fri"), "weight_day_not_fri.json"),
-        (("validate", "tests/data/fixture.json"), "validate_fixture.json"),
-        (("entropy", "--dist", "1/4,1/4,1/2"), "entropy.json"),
-    ],
-)
-def test_json_report_matches_golden(capsys, monkeypatch, argv, golden):
-    # the report echoes the path as given, so run from the repository root
-    monkeypatch.chdir(Path(__file__).parent.parent)
-    code, out, _ = run(capsys, *argv)
-    assert code == 0
-    assert out.encode("utf-8") == (GOLDEN / golden).read_bytes()
-
-
-@pytest.mark.parametrize(
-    ("argv", "code", "golden"),
-    [
-        (("demo",), 0, "demo_table.txt"),
-        (("check", "tests/data/world.json", "tests/data/fixture.json", "--strict"), 2,
-         "check_strict_table.txt"),
-        (("entropy", "--dist", "1/4,1/4,1/2"), 0, "entropy_table.txt"),
-        (("validate", "tests/data/no_formulas.json"), 2, "validate_no_formulas_table.txt"),
-        (("weight", "tests/data/fixture.json", "--subset", "Win(Bok)"), 0,
-         "weight_certain_table.txt"),
-        (("weight", "tests/data/fixture.json", "--subset", "Nope"), 0,
-         "weight_empty_support_table.txt"),
-        (("profile", "tests/data/fixture.json", "--all"), 0, "profile_fixture_table.txt"),
-        (("check", "tests/data/world.json", "tests/data/fixture.json"), 0, "check_table.txt"),
-    ],
-)
+@pytest.mark.parametrize(("argv", "code", "golden"), GOLDEN_ROWS)
 def test_table_output_matches_golden(capsys, monkeypatch, argv, code, golden):
-    # a report names its input path, so run from the repository root
+    """Each row of the golden table writes its golden file byte for byte."""
     monkeypatch.chdir(Path(__file__).parent.parent)
-    got, out, _ = run(capsys, *argv, "--format", "table")
+    got, out, _ = run(capsys, *argv)
     assert got == code
     assert out.encode("utf-8") == (GOLDEN / golden).read_bytes()
+
+
+def test_every_report_golden_has_a_row():
+    # enumerate.json holds forward-chainer listings, not a report
+    files = {path.name for path in GOLDEN.iterdir()} - {"enumerate.json"}
+    assert sorted(golden for _, _, golden in GOLDEN_ROWS) == sorted(files)
 
 
 def test_profile_unknown_proof(capsys):
@@ -288,6 +284,23 @@ def test_entropy_sum_past_the_digit_limit_exits_2(capsys):
     code, out, err = run(capsys, "entropy", "--dist", f"1/{'1' * 4000}3,1/{'7' * 4001}")
     assert (code, out) == (2, "")
     assert err.startswith("error: probabilities sum to")
+
+
+def test_entropy_parses_each_entry_once(capsys, monkeypatch):
+    # count the parses wherever the package binds the parser
+    calls = []
+    real = model._parse_probability
+
+    def counted(text):
+        calls.append(text)
+        return real(text)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("proofinfo") and hasattr(module, "_parse_probability"):
+            monkeypatch.setattr(module, "_parse_probability", counted)
+    assert main(["entropy", "--dist", "1/4,1/4,1/2"]) == 0
+    capsys.readouterr()
+    assert calls == ["1/4", "1/4", "1/2"]
 
 
 # ---- check ----------------------------------------------------------------------

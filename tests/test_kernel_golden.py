@@ -1,16 +1,13 @@
-"""Golden pins for the kernel: `check` reports on the fixture and the
-forward chainer's listings on seeded user data in a six-participant world."""
+"""Golden pin for the kernel: the forward chainer's listings on seeded user
+data in a six-participant world. The `check` report goldens are rows of the
+golden table in test_cli.py."""
 
 import json
 import random
 from pathlib import Path
 
-import pytest
-
 from proofinfo import WorldSpec, brd, day_is, day_not, enumerate_proofs
-from proofinfo.cli import main
 
-DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
 
 PARTICIPANTS = ("Ana", "Bok", "Dok", "Eli", "Fok", "Gus")
@@ -31,18 +28,6 @@ WORLD = WorldSpec(
 # (seed, max_steps): the default budget, and a budget small enough to cut
 # the chaining short
 CASES = (*((seed, 100) for seed in range(24)), *((seed, 6) for seed in range(24)))
-
-
-@pytest.mark.parametrize(
-    ("flags", "code", "golden"),
-    [((), 0, "check_report.json"), (("--strict",), 2, "check_report_strict.json")],
-)
-def test_check_report_bytes_match_golden(capsys, monkeypatch, flags, code, golden):
-    # the report names its input paths, so run from the repository root with
-    # the same relative paths the golden files were written with
-    monkeypatch.chdir(DATA.parent.parent)
-    assert main(["check", "tests/data/world.json", "tests/data/fixture.json", *flags]) == code
-    assert capsys.readouterr().out == (GOLDEN / golden).read_text(encoding="utf-8")
 
 
 def user_data(rng: random.Random) -> list:

@@ -22,7 +22,8 @@ from proofinfo import (
 )
 from proofinfo import measure as measure_module
 from proofinfo.cli import main
-from proofinfo.errors import NotADistributionError
+from proofinfo.errors import EmptyFormulaError, NotADistributionError
+from proofinfo.model import _parse_probability
 from randsys import random_subset, random_system
 
 FIXTURE = str(Path(__file__).parent / "data" / "fixture.json")
@@ -187,6 +188,19 @@ def test_a_str_subset_is_refused(ks, measure, read):
         read(ks, measure, "Day=Fri")
 
 
+def test_library_subsets_are_normalized_as_the_system_reads_them(ks, measure):
+    # the CLI weighs --subset "Day!=Fri" at 0.539 bits, and so does the library
+    assert weight(ks, measure, ["Day!=Fri"]).value > 0.5
+    for typed, canonical in (
+        ([" Day!=Fri"], ["Day≠Fri"]),
+        (["Day!=Fri ", "\tBrd(R2,Dok)", "~Win(Fok)"], ["Day≠Fri", "Brd(R2,Dok)", "¬Win(Fok)"]),
+    ):
+        assert support_ids(ks, typed) == support_ids(ks, canonical)
+        assert weight(ks, measure, typed) == weight(ks, measure, canonical)
+    with pytest.raises(EmptyFormulaError):
+        support(ks, measure, ["Day=Fri", "  "])
+
+
 @pytest.mark.parametrize(
     "argv", [("profile", FIXTURE, "--all"), ("demo",)], ids=["profile", "demo"]
 )
@@ -233,8 +247,11 @@ def test_entropy_uniform_n():
         assert value == pytest.approx(math.log2(n), abs=1e-9)
 
 
-def test_entropy_accepts_strings():
-    assert shannon_entropy(["1/4", "1/4", "1/2"]) == 1.5
+def test_entropy_refuses_str_and_float():
+    # text is read by the CLI; a float is not exact
+    for entry in ("1/2", 0.5):
+        with pytest.raises(NotADistributionError, match="not a rational"):
+            shannon_entropy([entry, Fraction(1, 2)])
 
 
 def test_entropy_rejects_bad_input():
@@ -251,15 +268,16 @@ def test_entropy_zero_terms_dropped():
 
 
 def test_entropy_refuses_huge_exponent():
-    with pytest.raises(NotADistributionError, match="exponent"):
-        shannon_entropy(["1e-999999999", "1"])
+    # the reader of the entropy command's entries refuses it before building 10**999999999
+    with pytest.raises(ValueError, match="exponent"):
+        _parse_probability("1e-999999999")
 
 
 def test_entropy_sum_past_the_digit_limit_is_not_a_distribution():
     # each entry has 4001 digits, their sum more than 4300
     with pytest.raises(NotADistributionError, match="sum to"):
-        shannon_entropy(["1/" + "1" * 4000 + "3", "1/" + "7" * 4001])
+        shannon_entropy([Fraction(1, int("1" * 4000 + "3")), Fraction(1, int("7" * 4001))])
 
 
 def test_entropy_entry_below_float_range_adds_zero():
-    assert shannon_entropy(["1e-400", "0." + "9" * 400]) == 0.0
+    assert shannon_entropy([Fraction(1, 10**400), 1 - Fraction(1, 10**400)]) == 0.0

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from proofinfo import (
+    KnowledgeSystem,
+    WorldSpec,
     builtin_example,
     load_knowledge_system,
     normalize_formula,
@@ -159,6 +161,29 @@ def test_empty_formula_error_names_position():
     doc = {"goals": ["g"], "proofs": [{"id": "P1", "formulas": ["g", "   "]}]}
     with pytest.raises(EmptyFormulaError, match="P1.*formulas\\[1\\]"):
         parse_knowledge_system(doc)
+    # the refused formula follows two already read in an earlier proof
+    doc = {"goals": ["g"], "proofs": [
+        {"id": "P1", "formulas": ["g", "x"]}, {"id": "P2", "formulas": ["x", "g", "  "]},
+    ]}
+    with pytest.raises(EmptyFormulaError, match="P2.*formulas\\[2\\]"):
+        parse_knowledge_system(doc)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: KnowledgeSystem("AB", [("P1", ["A"]), ("P2", ["B"])]),
+        lambda: KnowledgeSystem(["Win(A)"], [("P1", "Win(A)")]),
+        lambda: WorldSpec("AB", ("F", "S"), {"R1": {"F"}}),
+        lambda: WorldSpec(("A", "B"), "FS", {"R1": {"F"}}),
+        lambda: WorldSpec(("A", "B"), ("F", "S"), {"R1": "F"}),
+    ],
+    ids=["goals", "proof-formulas", "participants", "day-domain", "schedule"],
+)
+def test_a_str_is_not_a_collection(build):
+    # read one character at a time, each of these would build something else
+    with pytest.raises(TypeError, match="not the str"):
+        build()
 
 
 def test_duplicate_goal_rejected():
