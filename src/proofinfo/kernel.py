@@ -76,6 +76,8 @@ class WorldSpec(_Record):
     ) -> None:
         participants = tuple(_collection(participants, "participants"))
         day_domain = tuple(_collection(day_domain, "day domain"))
+        if not isinstance(truthful_days, Mapping):
+            raise TypeError(f"truthful days is a mapping, not {truthful_days!r}")
         schedules = {
             source: frozenset(_collection(days, f"source {source!r}: truthful days"))
             for source, days in truthful_days.items()
@@ -158,27 +160,23 @@ def parse_world(document: object) -> WorldSpec:
     if not isinstance(sources, dict):
         raise MalformedDocumentError("'sources' must be an object")
 
-    truthful_days: dict[str, frozenset[str]] = {}
+    truthful_days: dict[str, list[str]] = {}
     for name, schedule in sources.items():
         if schedule == "always_truthful":
-            truthful_days[name] = frozenset(day_domain)
+            truthful_days[name] = day_domain
         elif schedule == "always_deceitful":
-            truthful_days[name] = frozenset()
+            truthful_days[name] = []
         elif isinstance(schedule, dict) and set(schedule) == {"truthful_on"}:
             days = schedule["truthful_on"]
             if not isinstance(days, list) or not all(isinstance(d, str) for d in days):
                 raise MalformedDocumentError(f"source {name!r}: 'truthful_on' must be an array of day names")
-            truthful_days[name] = frozenset(days)
+            truthful_days[name] = days
         else:
             raise MalformedDocumentError(
                 f"source {name!r}: schedule must be 'always_truthful', 'always_deceitful' "
                 "or {'truthful_on': [...]}"
             )
-    return WorldSpec(
-        participants=tuple(participants),
-        day_domain=tuple(day_domain),
-        truthful_days=truthful_days,
-    )
+    return WorldSpec(participants, day_domain, truthful_days)
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +218,10 @@ class KFormula(_Record):
     ) -> None:
         if kind in _FORMS:
             text = _FORMS[kind][0].format(day=day, source=source, participant=participant)
-        else:
+        elif kind == "win_disj":
             text = "∨".join(_FORMS["win"][0].format(participant=p) for p in sorted(participants))
+        else:
+            raise ValueError(f"unknown formula kind {kind!r}")
         self._set(kind, day, source, participant, participants, text)
 
     def __hash__(self) -> int:
@@ -361,7 +361,7 @@ class _Facts:
     """The formulas listed or derived so far, with the lookups the rules use:
     the first index of each derivable formula, the indices of the day facts,
     and each source's verdict under those day facts (cached until the next
-    day fact)."""
+    day fact): TRUTHFUL, DECEITFUL, or why the day facts resolve it to neither."""
 
     def __init__(self, world: WorldSpec, formulas: Iterable[KFormula] = ()) -> None:
         self.world = world
@@ -383,7 +383,11 @@ class _Facts:
     def verdict(self, source: str) -> str:
         if source not in self._verdicts:
             day_facts = [self.formulas[j] for j in self.days]
-            self._verdicts[source] = resolve_reliability(self.world, source, day_facts)
+            try:
+                verdict = resolve_reliability(self.world, source, day_facts)
+            except InconsistentDayContextError as exc:
+                verdict = str(exc)
+            self._verdicts[source] = f"{source} reliability unknown" if verdict == UNKNOWN else verdict
         return self._verdicts[source]
 
 
@@ -488,22 +492,13 @@ def _first_application(
     facts: _Facts,
     premises: Iterable[tuple[int, KFormula]],
     concludes: Callable[[KFormula], bool],
-    notes: list[str],
 ) -> _Application | None:
     """The first application led by one of the premises, in order, whose
-    conclusion passes `concludes`. A broadcast whose day facts conflict, or
-    whose source's reliability is unknown, is noted in `notes`; an unknown
-    name raises."""
+    conclusion passes `concludes`; an unknown name raises."""
     for j, e in premises:
-        try:
-            for app in _RULES[e.kind](facts, j, e):
-                if concludes(app[2]):
-                    return app
-        except InconsistentDayContextError as exc:
-            notes.append(str(exc))
-            continue
-        if e.kind == "brd" and facts.verdict(e.source) == UNKNOWN:
-            notes.append(f"{e.source} reliability unknown")
+        for app in _RULES[e.kind](facts, j, e):
+            if concludes(app[2]):
+                return app
     return None
 
 
@@ -526,8 +521,8 @@ def _existence_disj(
         others = (
             (k, e) for k, e in enumerate(facts.formulas) if e.kind == "brd" and e.participant != beta
         )
-        app = _first_application(facts, _leading_premises(facts, goal), goal.__eq__, []) or (
-            _first_application(facts, others, lambda c: c.kind == "win", [])
+        app = _first_application(facts, _leading_premises(facts, goal), goal.__eq__) or (
+            _first_application(facts, others, lambda c: c.kind == "win")
         )
         if app is None:
             return None
@@ -538,12 +533,9 @@ def _existence_disj(
 
 def _justify(facts: _Facts, f: KFormula, strict: bool) -> RuleApplication | str:
     """The step's rule application, or the reason no rule derives it."""
-    if f.kind not in ("win", "not_win", "win_disj"):
-        if is_data(f):
-            return RuleApplication("UserData", (), f)
-        return f"formula kind {f.kind!r} cannot be derived"
-    notes: list[str] = []
-    app = _first_application(facts, _leading_premises(facts, f), f.__eq__, notes)
+    if is_data(f):
+        return RuleApplication("UserData", (), f)
+    app = _first_application(facts, _leading_premises(facts, f), f.__eq__)
     if app is not None:
         return RuleApplication(app[0], app[1], f)
     knocked = set(facts.world.participants) - (f.participants or {f.participant})
@@ -553,7 +545,11 @@ def _justify(facts: _Facts, f: KFormula, strict: bool) -> RuleApplication | str:
     if f.kind == "win_disj":
         missing = sorted(b for b in knocked if _not_win(b) not in facts.first)
         return f"cannot rule out {', '.join(missing)} for {f.text()!r}"
-    return "; ".join(notes) or f"no rule derives {f.text()!r}"
+    # why the broadcasts about the participant conclude nothing, each cause once
+    verdicts = (facts.verdict(e.source) for e in facts.formulas
+                if e.kind == "brd" and e.participant == f.participant)
+    causes = dict.fromkeys(v for v in verdicts if v not in (TRUTHFUL, DECEITFUL))
+    return "; ".join(causes) or f"no rule derives {f.text()!r}"
 
 
 def check_proof(
@@ -578,10 +574,9 @@ def check_proof(
     for i, f in enumerate(formulas):
         found = _justify(facts, f, strict)
         if isinstance(found, str):
-            steps.append(RuleApplication("Unjustified", (), f))
             violations.append((i, found))
-        else:
-            steps.append(found)
+            found = RuleApplication("Unjustified", (), f)
+        steps.append(found)
         facts.append(f)
     if formulas[-1] not in goal_forms:
         violations.append(

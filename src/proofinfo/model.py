@@ -190,17 +190,19 @@ class KnowledgeSystem(_Record):
 
         goal_set = frozenset(goal_list)
 
-        built: list[Proof] = []
+        by_id: dict[str, Proof] = {}
         classes: dict[str, list[str]] = {g: [] for g in goal_list}
         formula_masks: dict[str, int] = {}
-        seen_ids: set[str] = set()
         seen_bodies: dict[frozenset[str], str] = {}
-        for pid, raw_formulas in proofs:
+        for pos, pair in enumerate(_collection(proofs, "proofs")):
+            try:
+                pid, raw_formulas = () if isinstance(pair, str) else pair
+            except (TypeError, ValueError):
+                raise TypeError(f"proofs[{pos}] is an (id, formulas) pair, not {pair!r}") from None
             if not isinstance(pid, str) or not pid:
                 raise MalformedDocumentError(f"proof id must be a non-empty string, got {pid!r}")
-            if pid in seen_ids:
+            if pid in by_id:
                 raise DuplicateProofIdError(f"proof id {pid!r} used twice")
-            seen_ids.add(pid)
 
             raw_formulas = list(_collection(raw_formulas, "a proof's formulas"))
             try:
@@ -227,12 +229,12 @@ class KnowledgeSystem(_Record):
                     f"proofs {seen_bodies[body]!r} and {pid!r} have identical formula sets"
                 )
             seen_bodies[body] = pid
-            bit = 1 << len(built)
+            bit = 1 << len(by_id)
             for f in body:
                 formula_masks[f] = formula_masks.get(f, 0) | bit
             (goal,) = goals_in
             classes[goal].append(pid)
-            built.append(Proof(pid, body, goal, tuple(listing)))
+            by_id[pid] = Proof(pid, body, goal, tuple(listing))
 
         for g, members in classes.items():
             if not members:
@@ -240,8 +242,8 @@ class KnowledgeSystem(_Record):
         self._set(
             tuple(goal_list),
             goal_set,
-            tuple(built),
-            MappingProxyType({p.id: p for p in built}),
+            tuple(by_id.values()),
+            MappingProxyType(by_id),
             MappingProxyType({g: tuple(members) for g, members in classes.items()}),
             len(goal_list),
             MappingProxyType(formula_masks),

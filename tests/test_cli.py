@@ -337,6 +337,17 @@ def test_check_mutant_reports_reason(tmp_path, capsys):
     )
 
 
+def test_check_names_a_day_conflict_once(tmp_path, capsys):
+    listing = ["Day=Fri", "Day≠Fri", "Brd(R1,Bok)", "Brd(R2,Bok)", "Win(Bok)"]
+    path = tmp_path / "conflict.json"
+    path.write_text(json.dumps({"goals": ["Win(Bok)"], "proofs": [{"id": "P1", "formulas": listing}]}),
+                    encoding="utf-8")
+    code, report, _ = run_json(capsys, "check", WORLD, str(path))
+    assert code == 2
+    (result,) = report["results"]["proofs"]
+    assert result["violations"] == [{"index": 4, "reason": "day 'Fri' both asserted and excluded"}]
+
+
 def test_check_malformed_world_exits_3(tmp_path, capsys):
     path = tmp_path / "world.json"
     path.write_text(json.dumps({"participants": ["A", "B"]}), encoding="utf-8")

@@ -183,6 +183,12 @@ def test_formula_text_is_built_once():
     assert f == g and hash(f) == hash(g)
 
 
+def test_formula_refuses_an_unknown_kind():
+    with pytest.raises(ValueError, match="unknown formula kind 'bogus'"):
+        kernel.KFormula("bogus")
+    assert kernel.KFormula("win", participant="Bok") == win("Bok")
+
+
 def test_disjunction_factory_collapses_singleton():
     assert win_disj({"Bok"}) == win("Bok")
     with pytest.raises(ValueError):
@@ -453,6 +459,27 @@ def test_inconsistent_day_facts_reported_as_violation(world):
     listing = [day_is("Fri"), day_not("Fri"), brd("R2", "Bok"), win("Bok")]
     checked = check_proof(world, listing, {win("Bok")})
     assert not checked.valid
+
+
+_DAY_DEPENDENT = WorldSpec(
+    ("Ana", "Bok"), ("Mon", "Tue"), {"R1": {"Mon"}, "R2": {"Tue"}, "R3": {"Mon"}}
+)
+
+
+@pytest.mark.parametrize(
+    ("days", "reason"),
+    [
+        ([], "R1 reliability unknown; R2 reliability unknown; R3 reliability unknown"),
+        ([day_is("Mon"), day_not("Mon")], "day 'Mon' both asserted and excluded"),
+    ],
+    ids=["unknown", "conflict"],
+)
+def test_a_reason_names_each_cause_once(days, reason):
+    # repeated copies of the broadcasts give repeated premises, not repeated causes
+    broadcasts = [brd(source, "Ana") for source in ("R1", "R2", "R3")] * 4
+    listing = [*days, *broadcasts, *[not_win("Ana")] * 4]
+    checked = check_proof(_DAY_DEPENDENT, listing, {not_win("Ana")})
+    assert [r for _, r in checked.violations] == [reason] * 4
 
 
 

@@ -174,15 +174,33 @@ def test_empty_formula_error_names_position():
     [
         lambda: KnowledgeSystem("AB", [("P1", ["A"]), ("P2", ["B"])]),
         lambda: KnowledgeSystem(["Win(A)"], [("P1", "Win(A)")]),
+        lambda: KnowledgeSystem(["Win(A)"], "P1"),
         lambda: WorldSpec("AB", ("F", "S"), {"R1": {"F"}}),
         lambda: WorldSpec(("A", "B"), "FS", {"R1": {"F"}}),
         lambda: WorldSpec(("A", "B"), ("F", "S"), {"R1": "F"}),
     ],
-    ids=["goals", "proof-formulas", "participants", "day-domain", "schedule"],
+    ids=["goals", "proof-formulas", "proofs", "participants", "day-domain", "schedule"],
 )
 def test_a_str_is_not_a_collection(build):
     # read one character at a time, each of these would build something else
     with pytest.raises(TypeError, match="not the str"):
+        build()
+
+
+@pytest.mark.parametrize(
+    ("build", "message"),
+    [
+        (lambda: KnowledgeSystem(["g"], [("P1", ["g"]), ["P2"]]),
+         r"proofs\[1\] is an \(id, formulas\) pair, not \['P2'\]"),
+        (lambda: KnowledgeSystem(["g"], ["P1"]), r"proofs\[0\] is an \(id, formulas\) pair, not 'P1'"),
+        (lambda: WorldSpec(("A", "B"), ("F",), [("R1", ["F"])]),
+         r"truthful days is a mapping, not \[\('R1', \['F'\]\)\]"),
+    ],
+    ids=["proof-not-a-pair", "proof-str", "schedules-not-a-mapping"],
+)
+def test_a_wrong_shape_is_refused_by_name(build, message):
+    # each of these failed with an error that named neither the argument nor the entry
+    with pytest.raises(TypeError, match=message):
         build()
 
 
