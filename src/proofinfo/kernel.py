@@ -217,8 +217,15 @@ class KFormula(_Record):
         participants: frozenset[str] = frozenset(),
     ) -> None:
         if kind in _FORMS:
-            text = _FORMS[kind][0].format(day=day, source=source, participant=participant)
+            template, pattern = _FORMS[kind]
+            fields = {"day": day, "source": source, "participant": participant}
+            for field in pattern.groupindex:  # the fields this kind writes
+                if not isinstance(fields[field], str):
+                    raise ValueError(f"{kind} formula needs a str {field}, not {fields[field]!r}")
+            text = template.format_map(fields)
         elif kind == "win_disj":
+            if len(set(participants)) < 2 or not all(isinstance(p, str) for p in participants):
+                raise ValueError(f"win_disj needs two or more str participants: {participants!r}")
             text = "∨".join(_FORMS["win"][0].format(participant=p) for p in sorted(participants))
         else:
             raise ValueError(f"unknown formula kind {kind!r}")

@@ -69,12 +69,16 @@ def _support_mask(ks: KnowledgeSystem, subset: Iterable[str]) -> int:
     """Bitmask, over positions in ks.proofs, of the proofs containing `subset`:
     the AND of its formulas' masks, each formula normalized as the system reads
     it, all proofs for the empty subset. An empty formula raises
-    EmptyFormulaError, and a str in place of the subset TypeError."""
+    EmptyFormulaError, and a str in place of the subset, or a formula that is
+    not a str, TypeError."""
     masks = ks._formula_masks
     mask = (1 << len(ks.proofs)) - 1
     for formula in _collection(subset, "a subset"):
-        if formula not in masks:
-            formula = normalize_formula(formula)
+        try:
+            if formula not in masks:
+                formula = normalize_formula(formula)
+        except TypeError:  # not a str, or not even hashable
+            raise TypeError(f"a subset's formula is a str, not {formula!r}") from None
         mask &= masks.get(formula, 0)
     return mask
 

@@ -182,6 +182,8 @@ class KnowledgeSystem(_Record):
                 text = normalized[raw]
             except EmptyFormulaError as exc:
                 raise EmptyFormulaError(f"goals[{pos}]: {exc}") from exc
+            except TypeError:  # not a str, or not even hashable
+                raise TypeError(f"goals[{pos}] is a str, not {raw!r}") from None
             if text in goal_list:
                 raise MalformedDocumentError(f"goal {text!r} declared twice")
             goal_list.append(text)
@@ -211,6 +213,11 @@ class KnowledgeSystem(_Record):
                 # the table holds every formula before the refused one
                 pos = next(pos for pos, raw in enumerate(raw_formulas) if raw not in normalized)
                 raise EmptyFormulaError(f"proof {pid!r}, formulas[{pos}]: {exc}") from exc
+            except TypeError:
+                pos, raw = next(
+                    (pos, raw) for pos, raw in enumerate(raw_formulas) if not isinstance(raw, str)
+                )
+                raise TypeError(f"proof {pid!r}, formulas[{pos}] is a str, not {raw!r}") from None
             body = frozenset(listing)
             if not body:
                 raise NoGoalInProofError(f"proof {pid!r} contains no formulas")

@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from proofinfo import convergence, model
+from proofinfo import convergence, model, report
 from proofinfo.cli import main
+from proofinfo.errors import InternalInvariantViolation
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -243,6 +244,15 @@ def test_profile_unknown_proof(capsys):
     code, _, err = run(capsys, "profile", FIXTURE, "--proof", "NOPE")
     assert code == 2
     assert "NOPE" in err
+
+
+def test_a_refusal_no_handler_maps_exits_2(capsys, monkeypatch):
+    def refuse(ks, measure, proof_id):
+        raise InternalInvariantViolation(f"weights of {proof_id} do not converge")
+
+    monkeypatch.setattr(report, "profile", refuse)
+    code, out, err = run(capsys, "profile", FIXTURE, "--proof", "QB1")
+    assert (code, out, err) == (2, "", "error: weights of QB1 do not converge\n")
 
 
 # ---- entropy --------------------------------------------------------------------

@@ -184,9 +184,22 @@ def test_formula_text_is_built_once():
 
 
 def test_formula_refuses_an_unknown_kind():
-    with pytest.raises(ValueError, match="unknown formula kind 'bogus'"):
-        kernel.KFormula("bogus")
+    # each but the first built a formula that parse_kformula cannot read back
+    for fields, message in (
+        ({"kind": "bogus"}, "unknown formula kind 'bogus'"),
+        ({"kind": "brd"}, "brd formula needs a str source, not None"),
+        ({"kind": "brd", "source": "R1"}, "brd formula needs a str participant, not None"),
+        ({"kind": "win"}, "win formula needs a str participant, not None"),
+        ({"kind": "day_not", "day": 5}, "day_not formula needs a str day, not 5"),
+        ({"kind": "win_disj"}, "win_disj needs two or more str participants"),
+        ({"kind": "win_disj", "participants": frozenset({"Bok"})}, "two or more str"),
+        ({"kind": "win_disj", "participants": frozenset({"Bok", 1})}, "two or more str"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            kernel.KFormula(**fields)
     assert kernel.KFormula("win", participant="Bok") == win("Bok")
+    # a field the kind does not write is accepted, as before
+    assert kernel.KFormula("win", day="Fri", participant="Bok").text() == "Win(Bok)"
 
 
 def test_disjunction_factory_collapses_singleton():

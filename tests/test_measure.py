@@ -177,15 +177,25 @@ def test_a_measure_is_used_and_compared_only_with_its_system_in_its_order():
     assert support(reordered, own, {"Day=Fri"}) == support(ks, measure, {"Day=Fri"})
 
 
+_SUBSET_READERS = {
+    "support": support, "weight": weight, "support_ids": lambda ks, m, s: support_ids(ks, s),
+}
+_NOT_STR = (("int", 2, "2"), ("none", None, "None"), ("list", ["Day=Fri"], r"\['Day=Fri'\]"))
+
+
 @pytest.mark.parametrize(
-    "read",
-    [support, weight, lambda ks, m, subset: support_ids(ks, subset)],
-    ids=["support", "weight", "support_ids"],
+    ("read", "subset", "message"),
+    [
+        # read one character at a time, "Day=Fri" would have an empty support
+        *(pytest.param(read, "Day=Fri", "not the str 'Day=Fri'", id=name)
+          for name, read in _SUBSET_READERS.items()),
+        *(pytest.param(read, [value], f"a subset's formula is a str, not {shown}", id=f"{name}-{kind}")
+          for name, read in _SUBSET_READERS.items() for kind, value, shown in _NOT_STR),
+    ],
 )
-def test_a_str_subset_is_refused(ks, measure, read):
-    # read one character at a time, "Day=Fri" would have an empty support
-    with pytest.raises(TypeError, match="not the str 'Day=Fri'"):
-        read(ks, measure, "Day=Fri")
+def test_a_str_subset_is_refused(ks, measure, read, subset, message):
+    with pytest.raises(TypeError, match=message):
+        read(ks, measure, subset)
 
 
 def test_library_subsets_are_normalized_as_the_system_reads_them(ks, measure):

@@ -195,8 +195,16 @@ def test_a_str_is_not_a_collection(build):
         (lambda: KnowledgeSystem(["g"], ["P1"]), r"proofs\[0\] is an \(id, formulas\) pair, not 'P1'"),
         (lambda: WorldSpec(("A", "B"), ("F",), [("R1", ["F"])]),
          r"truthful days is a mapping, not \[\('R1', \['F'\]\)\]"),
+        (lambda: KnowledgeSystem([1], [("P1", [1])]), r"goals\[0\] is a str, not 1"),
+        (lambda: KnowledgeSystem(["g", ["g"]], [("P1", ["g"])]),
+         r"goals\[1\] is a str, not \['g'\]"),
+        (lambda: KnowledgeSystem(["g"], [("P1", ["g", 2])]),
+         r"proof 'P1', formulas\[1\] is a str, not 2"),
+        (lambda: KnowledgeSystem(["g"], [("P1", ["g"]), ("P2", ["x", "g", ["y"]])]),
+         r"proof 'P2', formulas\[2\] is a str, not \['y'\]"),
     ],
-    ids=["proof-not-a-pair", "proof-str", "schedules-not-a-mapping"],
+    ids=["proof-not-a-pair", "proof-str", "schedules-not-a-mapping", "goal-int", "goal-list",
+         "formula-int", "formula-list"],
 )
 def test_a_wrong_shape_is_refused_by_name(build, message):
     # each of these failed with an error that named neither the argument nor the entry

@@ -217,8 +217,10 @@ def test_knowledge_systems_compare_by_goal_set_and_proof_bodies():
 
 
 def test_kformula_defaults():
-    f = KFormula("win")
-    assert (f.day, f.source, f.participant, f.participants) == (None, None, None, frozenset())
+    with pytest.raises(ValueError, match="needs a str participant"):
+        KFormula("win")
+    f = KFormula("win", participant="A")
+    assert (f.day, f.source, f.participants) == (None, None, frozenset())
     assert KFormula("win", participant="A") == KFormula("win", None, None, "A", frozenset())
     assert KFormula("win", participant="A").text() == "Win(A)"
 
