@@ -184,7 +184,7 @@ def test_formula_text_is_built_once():
 
 
 def test_formula_refuses_an_unknown_kind():
-    # each but the first built a formula that parse_kformula cannot read back
+    # each but the first built a formula whose text does not read back as itself
     for fields, message in (
         ({"kind": "bogus"}, "unknown formula kind 'bogus'"),
         ({"kind": "brd"}, "brd formula needs a str source, not None"),
