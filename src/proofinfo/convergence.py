@@ -75,7 +75,10 @@ class WeightProfile(_Record):
 
 
 def _resolve_proof(ks: KnowledgeSystem, proof_id: str) -> Proof:
-    found = ks.by_id.get(proof_id)
+    try:
+        found = ks.by_id.get(proof_id)
+    except TypeError:  # unhashable, so not an id
+        found = None
     if found is None:
         raise UnknownProofIdError(f"proof {proof_id!r} is not part of this knowledge system")
     return found

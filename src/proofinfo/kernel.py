@@ -93,9 +93,7 @@ class WorldSpec(_Record):
         named = {"participant": participants, "day": day_domain, "source": schedules}
         for field, names in named.items():
             for name in names:
-                # normalization would fold an ASCII alias such as "~" in a name
-                if not (isinstance(name, str) and _NAME.fullmatch(name)
-                        and normalize_formula(name) == name):
+                if not (isinstance(name, str) and _readable(name)):
                     raise MalformedDocumentError(
                         f"{field} name {name!r} cannot be read back from a formula"
                     )
@@ -194,16 +192,39 @@ _FORMS: dict[str, tuple[str, re.Pattern[str]]] = {
     "win": ("Win({participant})", re.compile(r"Win\(\s*(?P<participant>[^()\s]+)\s*\)")),
 }
 
-# a name that a formula's text reads back as written: no whitespace, and no
-# character that ends a field or joins disjuncts
+# no whitespace, and no character that ends a field or joins disjuncts
 _NAME = re.compile(r"[^\s,()∨]+")
+
+
+# a world's few names recur in every formula built on it
+@functools.lru_cache(maxsize=4096)
+def _readable(name: str) -> bool:
+    """Whether a formula's text reads the str `name` back as written: it is a
+    `_NAME` that normalization leaves alone (it would fold an ASCII alias
+    such as "~")."""
+    return _NAME.fullmatch(name) is not None and normalize_formula(name) == name
+
+
+def _written(kind: str, field: str, name: object) -> str:
+    """`name`, which a formula of `kind` writes as its `field`; raises ValueError
+    unless the formula's text reads it back."""
+    if not (isinstance(name, str) and _readable(name)):
+        raise ValueError(f"{kind} formula needs a str {field} that its text reads back, not {name!r}")
+    return name
+
 
 # the world attribute that declares the names each field may take
 _DECLARED_IN = {"day": "day_domain", "source": "truthful_days", "participant": "participants"}
 
 
 class KFormula(_Record):
-    """A structured kernel formula; build with the factory functions below."""
+    """A structured kernel formula; build with the factory functions below.
+
+    A formula holds exactly what its text writes: a field its kind does not
+    write is refused, and so is a name the text would not read back. Fields
+    and text therefore determine each other, and a formula compares and
+    hashes by its text alone.
+    """
 
     # _text is built once, from the fields; it is not a field itself
     __slots__ = ("kind", "day", "source", "participant", "participants", "_text")
@@ -214,25 +235,37 @@ class KFormula(_Record):
         day: str | None = None,
         source: str | None = None,
         participant: str | None = None,
-        participants: frozenset[str] = frozenset(),
+        participants: Iterable[str] = frozenset(),
     ) -> None:
+        participants = frozenset(_collection(participants, "participants"))
+        # the fields the kind does not write, each of which must be unset
+        unwritten = {"day": day, "source": source, "participant": participant,
+                     "participants": participants or None}
         if kind in _FORMS:
             template, pattern = _FORMS[kind]
-            fields = {"day": day, "source": source, "participant": participant}
-            for field in pattern.groupindex:  # the fields this kind writes
-                if not isinstance(fields[field], str):
-                    raise ValueError(f"{kind} formula needs a str {field}, not {fields[field]!r}")
-            text = template.format_map(fields)
+            text = template.format_map(
+                {field: _written(kind, field, unwritten.pop(field)) for field in pattern.groupindex}
+            )
         elif kind == "win_disj":
-            if len(set(participants)) < 2 or not all(isinstance(p, str) for p in participants):
-                raise ValueError(f"win_disj needs two or more str participants: {participants!r}")
-            text = "∨".join(_FORMS["win"][0].format(participant=p) for p in sorted(participants))
+            if len(participants) < 2:
+                raise ValueError(f"win_disj needs two or more participants, not {participants!r}")
+            del unwritten["participants"]
+            names = sorted(_written(kind, "participant", p) for p in participants)
+            text = "∨".join(_FORMS["win"][0].format(participant=p) for p in names)
         else:
             raise ValueError(f"unknown formula kind {kind!r}")
+        for field, value in unwritten.items():
+            if value is not None:
+                raise ValueError(f"{kind} formula writes no {field}: {value!r}")
         self._set(kind, day, source, participant, participants, text)
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._text == other._text
+        return NotImplemented
+
     def __hash__(self) -> int:
-        # equal fields build equal text, and a str keeps its hash once computed
+        # a str keeps its hash once computed
         return hash(self._text)
 
     def text(self) -> str:
@@ -264,7 +297,7 @@ def not_win(participant: str) -> KFormula:
 
 def win_disj(participants: Iterable[str]) -> KFormula:
     """Disjunction of winner claims; a one-element disjunction collapses to Win."""
-    ps = frozenset(participants)
+    ps = frozenset(_collection(participants, "participants"))
     if not ps:
         raise ValueError("empty disjunction")
     if len(ps) == 1:
@@ -279,6 +312,14 @@ def _is_day_fact(formula: KFormula) -> bool:
 def is_data(formula: KFormula) -> bool:
     """Whether the formula may appear as user data (day and broadcast facts only)."""
     return formula.kind == "brd" or _is_day_fact(formula)
+
+
+def _refuse_non_formulas(values: Iterable[object], what: str) -> None:
+    """Raise TypeError naming the first of `values` that is not a KFormula,
+    by its position in the argument `what`."""
+    for pos, value in enumerate(values):
+        if not isinstance(value, KFormula):
+            raise TypeError(f"{what}[{pos}] is a KFormula, not {value!r}") from None
 
 
 def _check_name(world: WorldSpec, field: str, name: str, text: str) -> None:
@@ -355,7 +396,12 @@ def resolve_reliability(
     to days with a single verdict.
     """
     truthful_days = world.truthful_on(source)
-    possible = _possible_days(world, filter(_is_day_fact, day_context))
+    day_context = list(_collection(day_context, "day_context"))
+    try:
+        possible = _possible_days(world, filter(_is_day_fact, day_context))
+    except AttributeError:
+        _refuse_non_formulas(day_context, "day_context")
+        raise
     verdicts = {TRUTHFUL if d in truthful_days else DECEITFUL for d in possible}
     return verdicts.pop() if len(verdicts) == 1 else UNKNOWN
 
@@ -408,6 +454,8 @@ _win, _not_win, _win_disj = (functools.lru_cache(maxsize=4096)(f) for f in (win,
 
 def _from_broadcast(facts: _Facts, j: int, e: KFormula) -> Iterator[_Application]:
     verdict = facts.verdict(e.source)
+    if e.participant not in facts.world.participants:
+        raise UnknownNameError(f"unknown participant {e.participant!r} in {e.text()!r}")
     # a day-dependent source's verdict rests on the day facts as well
     premises = (j, *facts.days) if facts.world.is_day_dependent(e.source) else (j,)
     if verdict == TRUTHFUL:
@@ -572,20 +620,26 @@ def check_proof(
     the last formula must be one of goal_forms. Unused (extraneous) formulas
     are fine. Invalidity is a result, not an exception.
     """
-    formulas = list(formulas)
+    formulas = list(_collection(formulas, "formulas"))
+    goal_forms = _collection(goal_forms, "goal_forms")
     if not formulas:
         raise ValueError("empty proof listing")
     facts = _Facts(world)
     steps: list[RuleApplication] = []
     violations: list[tuple[int, str]] = []
-    for i, f in enumerate(formulas):
-        found = _justify(facts, f, strict)
-        if isinstance(found, str):
-            violations.append((i, found))
-            found = RuleApplication("Unjustified", (), f)
-        steps.append(found)
-        facts.append(f)
+    try:
+        for i, f in enumerate(formulas):
+            found = _justify(facts, f, strict)
+            if isinstance(found, str):
+                violations.append((i, found))
+                found = RuleApplication("Unjustified", (), f)
+            steps.append(found)
+            facts.append(f)
+    except AttributeError:  # diagnosed only here, so a valid listing pays nothing
+        _refuse_non_formulas(formulas, "formulas")
+        raise
     if formulas[-1] not in goal_forms:
+        _refuse_non_formulas(goal_forms, "goal_forms")
         violations.append(
             (len(formulas) - 1, f"final formula {formulas[-1].text()!r} is not a goal")
         )
@@ -653,6 +707,8 @@ def enumerate_proofs(
     if max_steps < 1:
         raise ValueError("max_steps must be at least 1")
 
+    user_data = list(_collection(user_data, "user_data"))
+    _refuse_non_formulas(user_data, "user_data")
     data = sorted(set(user_data), key=lambda f: (not _is_day_fact(f), f.text()))
     for f in data:
         if not is_data(f):

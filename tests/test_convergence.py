@@ -81,15 +81,16 @@ def test_unknown_proof_id(ks, measure):
 
 
 def test_a_proof_is_named_by_its_id_only(ks, measure):
-    # a Proof object, even one of this system, is not an id
-    qb3 = ks.by_id["QB3"]
-    for ask in (
-        lambda: profile(ks, measure, qb3),
-        lambda: certainty_threshold(ks, qb3),
-        lambda: max_subset_weight(ks, measure, qb3, 1),
-    ):
-        with pytest.raises(UnknownProofIdError, match="is not part of this knowledge system"):
-            ask()
+    # a Proof object, even one of this system, is not an id, and neither is
+    # an unhashable value
+    for not_an_id in (ks.by_id["QB3"], ["QB1"], {"a": 1}):
+        for ask in (
+            lambda: profile(ks, measure, not_an_id),
+            lambda: certainty_threshold(ks, not_an_id),
+            lambda: max_subset_weight(ks, measure, not_an_id, 1),
+        ):
+            with pytest.raises(UnknownProofIdError, match="is not part of this knowledge system"):
+                ask()
 
 
 def test_large_proof_guard():

@@ -178,7 +178,7 @@ def test_day_context_checks(world, facts, message):
 def test_formula_text_is_built_once():
     f = win_disj({"Fok", "Bok"})
     assert f.text() is f.text() == "Win(Bok)∨Win(Fok)"
-    # the stored text is not a field: equality and hashing ignore it
+    # the stored text is not a field, yet it is all that equality and hashing read
     g = win_disj({"Bok", "Fok"})
     assert f == g and hash(f) == hash(g)
 
@@ -187,19 +187,41 @@ def test_formula_refuses_an_unknown_kind():
     # each but the first built a formula whose text does not read back as itself
     for fields, message in (
         ({"kind": "bogus"}, "unknown formula kind 'bogus'"),
-        ({"kind": "brd"}, "brd formula needs a str source, not None"),
-        ({"kind": "brd", "source": "R1"}, "brd formula needs a str participant, not None"),
-        ({"kind": "win"}, "win formula needs a str participant, not None"),
-        ({"kind": "day_not", "day": 5}, "day_not formula needs a str day, not 5"),
-        ({"kind": "win_disj"}, "win_disj needs two or more str participants"),
-        ({"kind": "win_disj", "participants": frozenset({"Bok"})}, "two or more str"),
-        ({"kind": "win_disj", "participants": frozenset({"Bok", 1})}, "two or more str"),
+        ({"kind": "brd"}, "brd formula needs a str source that its text reads back, not None"),
+        ({"kind": "brd", "source": "R1"}, "brd formula needs a str participant .*, not None"),
+        ({"kind": "win"}, "win formula needs a str participant .*, not None"),
+        ({"kind": "day_not", "day": 5}, "day_not formula needs a str day .*, not 5"),
+        ({"kind": "win_disj"}, r"win_disj needs two or more participants, not frozenset\(\)"),
+        ({"kind": "win_disj", "participants": frozenset({"Bok"})}, "two or more participants"),
+        ({"kind": "win_disj", "participants": frozenset({"Bok", 1})},
+         "win_disj formula needs a str participant .*, not 1"),
+        # a field the kind does not write: the text would not show it
+        ({"kind": "win", "day": "Fri", "participant": "Bok"}, "win formula writes no day: 'Fri'"),
+        ({"kind": "brd", "source": "R1", "participant": "Bok", "participants": {"Bok", "Dok"}},
+         "brd formula writes no participants: frozenset"),
+        ({"kind": "win_disj", "participant": "Bok", "participants": {"Bok", "Dok"}},
+         "win_disj formula writes no participant: 'Bok'"),
+        # a name the text would not read back: Brd(R1,X,Y) twice, a disjunction
+        # printed as one Win, and names normalization would fold
+        ({"kind": "brd", "source": "R1,X", "participant": "Y"}, "str source .*, not 'R1,X'"),
+        ({"kind": "brd", "source": "R1", "participant": "X,Y"}, "str participant .*, not 'X,Y'"),
+        ({"kind": "win", "participant": "B)∨Win(C"}, r"not 'B\)∨Win\(C'"),
+        ({"kind": "not_win", "participant": "Bok "}, "not 'Bok '"),
+        ({"kind": "day_is", "day": "~Fri"}, "not '~Fri'"),
+        ({"kind": "win_disj", "participants": {"Bok", "A!=B"}}, "not 'A!=B'"),
     ):
         with pytest.raises(ValueError, match=message):
             kernel.KFormula(**fields)
+    for fields, message in (
+        # a str is read one character at a time
+        ({"kind": "win_disj", "participants": "AB"}, "participants is a collection, not the str 'AB'"),
+        ({"kind": "win", "participant": "A", "participants": "AB"}, "not the str 'AB'"),
+    ):
+        with pytest.raises(TypeError, match=message):
+            kernel.KFormula(**fields)
+    with pytest.raises(TypeError, match="not the str 'AB'"):
+        win_disj("AB")
     assert kernel.KFormula("win", participant="Bok") == win("Bok")
-    # a field the kind does not write is accepted, as before
-    assert kernel.KFormula("win", day="Fri", participant="Bok").text() == "Win(Bok)"
 
 
 def test_disjunction_factory_collapses_singleton():
@@ -508,6 +530,24 @@ def test_a_reason_names_each_cause_once(days, reason):
 def test_unknown_source_raises_on_both_checker_paths(world, listing):
     with pytest.raises(UnknownNameError, match="unknown source 'R9'"):
         check_proof(world, listing, {win("Bok")})
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda world: check_proof(world, [brd("R1", "Zed"), win("Zed")], {win("Zed")}),
+        # the disjunction needs ¬Win(Fok), which an implicit hop would take
+        # from Uniqueness after the broadcast about Zed
+        lambda world: check_proof(world, [brd("R1", "Zed"), win_disj({"Bok", "Dok"})],
+                                  {win("Bok")}),
+        lambda world: enumerate_proofs(world, [brd("R1", "Zed")]),
+    ],
+    ids=["check", "check-implicit-hop", "enumerate"],
+)
+def test_a_broadcast_about_an_undeclared_participant_raises(world, run):
+    # each of these read Win(Zed) from R1, so every declared participant lost
+    with pytest.raises(UnknownNameError, match=r"^unknown participant 'Zed' in 'Brd\(R1,Zed\)'$"):
+        run(world)
 
 # ---- enumeration ---------------------------------------------------------------
 

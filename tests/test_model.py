@@ -5,14 +5,21 @@ import pytest
 from proofinfo import (
     KnowledgeSystem,
     WorldSpec,
+    brd,
     builtin_example,
+    builtin_world,
+    check_proof,
+    day_is,
+    enumerate_proofs,
     load_knowledge_system,
     normalize_formula,
     parse_knowledge_system,
     proof_measure,
+    resolve_reliability,
     serialize_knowledge_system,
     support,
     weight,
+    win,
 )
 from proofinfo.errors import (
     DuplicateProofBodyError,
@@ -178,8 +185,13 @@ def test_empty_formula_error_names_position():
         lambda: WorldSpec("AB", ("F", "S"), {"R1": {"F"}}),
         lambda: WorldSpec(("A", "B"), "FS", {"R1": {"F"}}),
         lambda: WorldSpec(("A", "B"), ("F", "S"), {"R1": "F"}),
+        lambda: check_proof(builtin_world(), "abc", {win("Bok")}),
+        lambda: check_proof(builtin_world(), [brd("R1", "Bok"), win("Bok")], "Win(Bok)"),
+        lambda: enumerate_proofs(builtin_world(), "Brd(R1,Bok)"),
+        lambda: resolve_reliability(builtin_world(), "R2", "Day=Fri"),
     ],
-    ids=["goals", "proof-formulas", "proofs", "participants", "day-domain", "schedule"],
+    ids=["goals", "proof-formulas", "proofs", "participants", "day-domain", "schedule",
+         "kernel-listing", "kernel-goals", "kernel-user-data", "kernel-day-context"],
 )
 def test_a_str_is_not_a_collection(build):
     # read one character at a time, each of these would build something else
@@ -202,12 +214,27 @@ def test_a_str_is_not_a_collection(build):
          r"proof 'P1', formulas\[1\] is a str, not 2"),
         (lambda: KnowledgeSystem(["g"], [("P1", ["g"]), ("P2", ["x", "g", ["y"]])]),
          r"proof 'P2', formulas\[2\] is a str, not \['y'\]"),
+        (lambda: check_proof(builtin_world(), ["Win(Bok)"], {win("Bok")}),
+         r"formulas\[0\] is a KFormula, not 'Win\(Bok\)'"),
+        (lambda: check_proof(builtin_world(), [brd("R1", "Bok"), None], {win("Bok")}),
+         r"formulas\[1\] is a KFormula, not None"),
+        (lambda: check_proof(builtin_world(), [brd("R1", "Bok"), win("Bok")], ["Win(Bok)"]),
+         r"goal_forms\[0\] is a KFormula, not 'Win\(Bok\)'"),
+        (lambda: enumerate_proofs(builtin_world(), [brd("R1", "Bok"), "Day=Fri"]),
+         r"user_data\[1\] is a KFormula, not 'Day=Fri'"),
+        (lambda: enumerate_proofs(builtin_world(), [["Day=Fri"]]),
+         r"user_data\[0\] is a KFormula, not \['Day=Fri'\]"),
+        (lambda: resolve_reliability(builtin_world(), "R2", [day_is("Fri"), "Day=Fri"]),
+         r"day_context\[1\] is a KFormula, not 'Day=Fri'"),
     ],
     ids=["proof-not-a-pair", "proof-str", "schedules-not-a-mapping", "goal-int", "goal-list",
-         "formula-int", "formula-list"],
+         "formula-int", "formula-list", "kernel-listing-str", "kernel-listing-none",
+         "kernel-goal-str", "kernel-user-data-str", "kernel-user-data-list",
+         "kernel-day-context-str"],
 )
 def test_a_wrong_shape_is_refused_by_name(build, message):
-    # each of these failed with an error that named neither the argument nor the entry
+    # each of these failed with an error that named neither the argument nor the
+    # entry, except that goal forms given as texts made every listing invalid
     with pytest.raises(TypeError, match=message):
         build()
 

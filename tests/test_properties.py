@@ -1,8 +1,8 @@
 """Differential properties on Hypothesis-generated systems and documents.
 
 The package's support and profile are compared with the slow references in
-tests/oracles.py, and the JSON report writer with the standard library's
-indented encoder. Runs are derandomized and keep no example database, so
+tests/oracles.py, the JSON report writer with the standard library's
+indented encoder, and a kernel formula with the text it prints. Runs are derandomized and keep no example database, so
 the suite is repeatable and leaves nothing behind.
 """
 
@@ -16,13 +16,23 @@ from hypothesis import strategies as st
 
 from oracles import profile_exhaustive, support_by_class_scan, weight_by_fractions
 from proofinfo import (
+    KFormula,
     ProbabilityMeasure,
+    WorldSpec,
+    brd,
     certainty_threshold,
+    day_is,
+    day_not,
+    not_win,
+    parse_kformula,
     profile,
     proof_measure,
     support,
     weight,
+    win,
+    win_disj,
 )
+from proofinfo.errors import MalformedDocumentError
 from proofinfo.report import render_json
 from randsys import systems
 
@@ -108,3 +118,38 @@ DOCUMENTS = st.recursive(
 @given(DOCUMENTS)
 def test_render_json_equals_indented_dumps(doc):
     assert render_json(doc) == json.dumps(doc, ensure_ascii=False, indent=2) + "\n"
+
+
+# names drawn from the grammar's own symbols as well as any character; a
+# world refuses those its formulas could not read back
+NAMES = st.text(st.sampled_from("Ab1é=≠¬!\\/") | st.characters(), min_size=1, max_size=4)
+
+
+def _formulas(world):
+    participants = st.sampled_from(world.participants)
+    days = st.sampled_from(world.day_domain)
+    return st.one_of(
+        days.map(day_is),
+        days.map(day_not),
+        st.builds(brd, st.sampled_from(sorted(world.truthful_days)), participants),
+        participants.map(win),
+        participants.map(not_win),
+        st.sets(participants, min_size=1).map(win_disj),
+    )
+
+
+@BOUNDED
+@given(st.data())
+def test_a_formula_is_its_text(data):
+    names = data.draw(st.lists(NAMES, min_size=5, max_size=8, unique=True))
+    try:
+        world = WorldSpec(names[:-3], names[-3:-1], {names[-1]: names[-2:-1]})
+    except MalformedDocumentError:
+        assume(False)
+    f, g = data.draw(_formulas(world)), data.draw(_formulas(world))
+    back = parse_kformula(f.text(), world)
+    fields = [getattr(back, name) for name in KFormula.__match_args__]
+    assert fields == [getattr(f, name) for name in KFormula.__match_args__]
+    assert back == f and hash(back) == hash(f)
+    assert (f == g) == (f.text() == g.text())
+    assert f != g or hash(f) == hash(g)

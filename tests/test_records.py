@@ -37,7 +37,7 @@ from proofinfo import (
 )
 
 _F = KFormula("brd", None, "R1", "A", frozenset())
-_G = KFormula("win", "Fri", "R2", "B", frozenset({"A"}))
+_G = KFormula("not_win", None, None, "B", frozenset())
 _STEP = RuleApplication("UserData", (), _F, ())
 _TWO = KnowledgeSystem(["g"], [("P1", ["g", "a"]), ("P2", ["g"])])
 _TWO_OTHER = KnowledgeSystem(["g"], [("P1", ["g", "b"]), ("P2", ["g"])])
@@ -84,9 +84,9 @@ RECORDS = [
      "WorldSpec(participants=('A', 'B'), day_domain=('Fri',), "
      "truthful_days=mappingproxy({'R1': frozenset({'Fri'})}))", True),
     (KFormula, ("kind", "day", "source", "participant", "participants"),
-     ("brd", None, "R1", "A", frozenset()),
-     ("win", "Fri", "R2", "B", frozenset({"A"})),
-     "KFormula(Brd(R1,A))", True),
+     ("win", None, None, "A", frozenset()),
+     ("not_win", "Fri", "R2", "B", frozenset({"A", "B"})),
+     "KFormula(Win(A))", True),
     (RuleApplication, ("rule", "premises", "conclusion", "implicit"),
      ("UserData", (), _F, ()),
      ("Uniqueness", (0,), _G, (_G,)),
@@ -139,7 +139,13 @@ def test_positional_and_keyword_construction_agree(cls, names, values, others, t
 def test_each_field_takes_part_in_equality(cls, names, values, others, text, hashable):
     sample = cls(*values)
     for i in range(len(names)):
-        changed = cls(*values[:i], others[i], *values[i + 1:])
+        args = (*values[:i], others[i], *values[i + 1:])
+        if cls is KFormula and values[i] in (None, frozenset()):
+            # a formula holds only what its text writes: setting another field is refused
+            with pytest.raises(ValueError, match=f"win formula writes no {names[i]}: "):
+                cls(*args)
+            continue
+        changed = cls(*args)
         assert changed != sample and not changed == sample, names[i]
     assert sample != values and sample != object()
 
