@@ -305,13 +305,17 @@ def win_disj(participants: Iterable[str]) -> KFormula:
     return KFormula("win_disj", participants=ps)
 
 
+_DAY_KINDS = frozenset({"day_is", "day_not"})
+_DATA_KINDS = _DAY_KINDS | {"brd"}
+
+
 def _is_day_fact(formula: KFormula) -> bool:
-    return formula.kind in ("day_is", "day_not")
+    return formula.kind in _DAY_KINDS
 
 
 def is_data(formula: KFormula) -> bool:
     """Whether the formula may appear as user data (day and broadcast facts only)."""
-    return formula.kind == "brd" or _is_day_fact(formula)
+    return formula.kind in _DATA_KINDS
 
 
 def _refuse_non_formulas(values: Iterable[object], what: str) -> None:
@@ -410,26 +414,46 @@ def resolve_reliability(
 # facts and the rule table
 # ---------------------------------------------------------------------------
 
+class _VerdictTable(dict):
+    """Each source's verdict under one sequence of day facts, as `_Facts`
+    words it, and in `after` the table of each sequence one day fact longer.
+    Listings checked against one world may share the table of the empty
+    sequence, so each verdict is resolved once per distinct pair of source
+    and day facts in listing order."""
+
+    __slots__ = ("after",)
+
+    def __init__(self) -> None:
+        self.after: dict[KFormula, _VerdictTable] = _Memo(lambda day_fact: _VerdictTable())
+
+
 class _Facts:
     """The formulas listed or derived so far, with the lookups the rules use:
     the first index of each derivable formula, the indices of the day facts,
-    and each source's verdict under those day facts (cached until the next
-    day fact): TRUTHFUL, DECEITFUL, or why the day facts resolve it to neither."""
+    and each source's verdict under those day facts, kept in a
+    `_VerdictTable`: TRUTHFUL, DECEITFUL, or why the day facts resolve it to
+    neither."""
 
-    def __init__(self, world: WorldSpec, formulas: Iterable[KFormula] = ()) -> None:
+    def __init__(
+        self,
+        world: WorldSpec,
+        formulas: Iterable[KFormula] = (),
+        verdicts: _VerdictTable | None = None,
+    ) -> None:
         self.world = world
         self.formulas: list[KFormula] = []
         self.first: dict[KFormula, int] = {}
         self.days: tuple[int, ...] = ()
-        self._verdicts: dict[str, str] = {}
+        self._verdicts = _VerdictTable() if verdicts is None else verdicts
         for f in formulas:
             self.append(f)
 
     def append(self, formula: KFormula) -> None:
-        if _is_day_fact(formula):
+        kind = formula.kind
+        if kind in _DAY_KINDS:
             self.days += (len(self.formulas),)
-            self._verdicts.clear()
-        elif formula.kind != "brd":  # user data is never looked up
+            self._verdicts = self._verdicts.after[formula]
+        elif kind != "brd":  # user data is never looked up
             self.first.setdefault(formula, len(self.formulas))
         self.formulas.append(formula)
 
@@ -586,10 +610,14 @@ def _existence_disj(
     return RuleApplication("ExistenceDisj", tuple(dict.fromkeys(premises)), f, tuple(implicit))
 
 
+# a user-data step is one record per formula, shared like the conclusions above
+_user_data = functools.lru_cache(maxsize=4096)(lambda f: RuleApplication("UserData", (), f))
+
+
 def _justify(facts: _Facts, f: KFormula, strict: bool) -> RuleApplication | str:
     """The step's rule application, or the reason no rule derives it."""
-    if is_data(f):
-        return RuleApplication("UserData", (), f)
+    if f.kind in _DATA_KINDS:
+        return _user_data(f)
     app = _first_application(facts, _leading_premises(facts, f), f.__eq__)
     if app is not None:
         return RuleApplication(app[0], app[1], f)
@@ -613,6 +641,8 @@ def check_proof(
     goal_forms: Collection[KFormula],
     proof_id: str = "proof",
     strict: bool = False,
+    *,
+    _verdicts: _VerdictTable | None = None,
 ) -> CheckedProof:
     """Check an ordered proof listing against the rules.
 
@@ -620,11 +650,13 @@ def check_proof(
     the last formula must be one of goal_forms. Unused (extraneous) formulas
     are fine. Invalidity is a result, not an exception.
     """
+    # _verdicts is the verdict table that check_knowledge_system shares
+    # among the listings it checks
     formulas = list(_collection(formulas, "formulas"))
     goal_forms = _collection(goal_forms, "goal_forms")
     if not formulas:
         raise ValueError("empty proof listing")
-    facts = _Facts(world)
+    facts = _Facts(world, verdicts=_verdicts)
     steps: list[RuleApplication] = []
     violations: list[tuple[int, str]] = []
     try:
@@ -654,13 +686,24 @@ def check_knowledge_system(
     """Parse every proof of a knowledge system as kernel formulas and check it.
 
     Each distinct text is parsed once, in the order of first use, so the
-    first bad formula still raises; steps share the frozen `KFormula`.
+    first bad formula still raises; steps share the frozen `KFormula`, and
+    listings share one table of source verdicts. Two goals that parse to one
+    formula raise MalformedDocumentError.
     """
     # world goes by position, the one signature a wrapped parse_kformula must keep
     parsed = _Memo(lambda text: parse_kformula(text, world))
     goal_forms = {parsed[g] for g in ks.goals}
+    if len(goal_forms) < len(ks.goals):
+        first: dict[KFormula, str] = {}
+        for g in ks.goals:
+            if first.setdefault(parsed[g], g) != g:
+                raise MalformedDocumentError(
+                    f"goals {first[parsed[g]]!r} and {g!r} are one kernel formula"
+                )
+    verdicts = _VerdictTable()
     return tuple(
-        check_proof(world, list(map(parsed.__getitem__, p.listing)), goal_forms, p.id, strict)
+        check_proof(world, list(map(parsed.__getitem__, p.listing)), goal_forms, p.id, strict,
+                    _verdicts=verdicts)
         for p in ks.proofs
     )
 

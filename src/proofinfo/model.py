@@ -95,14 +95,16 @@ class _Record:
         )
         # every record has two or more fields, so this returns a tuple
         cls._values = attrgetter(*cls._fields)
-        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
         if "_key" not in vars(cls):
             cls._key = cls._values
-
-    def _set(self, *values: object) -> None:
-        """Store one value per slot, in `__slots__` order."""
-        for setter, value in zip(self._setters, values):
-            setter(self, value)
+        # `_set` stores one value per slot, in `__slots__` order, through each
+        # slot's own setter; written out per class, as dataclasses writes
+        # __init__, it makes no Python-level loop over the slots
+        setters = {f"set{i}": getattr(cls, name).__set__ for i, name in enumerate(cls.__slots__)}
+        values = ", ".join(f"v{i}" for i in range(len(setters)))
+        body = "".join(f"\n    set{i}(self, v{i})" for i in range(len(setters)))
+        exec(f"def _set(self, {values}):{body}", setters)
+        cls._set = setters["_set"]
 
     def __eq__(self, other: object) -> bool:
         if other is self:

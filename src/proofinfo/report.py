@@ -117,6 +117,17 @@ def check_entry(checked: CheckedProof) -> dict:
 # rendering
 # ---------------------------------------------------------------------------
 
+# an item of exactly one of these types is written in one append, with its
+# key's prefix; any other value, a subclass of these included, goes through
+# render_json's write()
+_SCALARS = {
+    str: encode_basestring,
+    int: int.__repr__,
+    bool: {False: "false", True: "true"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
 def render_json(report: dict) -> str:
     """The bytes of `json.dumps(report, ensure_ascii=False, indent=2)` plus a newline.
 
@@ -127,10 +138,24 @@ def render_json(report: dict) -> str:
     """
     parts: list[str] = []
     add = parts.append
+    scalar = _SCALARS.get
+
     # a pad is the newline and indent that close one level; each pad maps to
-    # the next level's pad and the strings that open a dict, open a list and
-    # separate items there, built once per depth rather than per container
-    levels = _Memo(lambda pad: (pad + "  ", "{" + pad + "  ", "[" + pad + "  ", "," + pad + "  "))
+    # the next level's pad, the prefixes that open a dict with a key and that
+    # separate a key from the item before it, and the strings that open a
+    # list and separate items there, built once per depth and key rather
+    # than per item
+    def level(pad: str) -> tuple:
+        inner = pad + "  "
+        return (
+            inner,
+            _Memo(lambda key: "{" + inner + encode_basestring(key) + ": "),
+            _Memo(lambda key: "," + inner + encode_basestring(key) + ": "),
+            "[" + inner,
+            "," + inner,
+        )
+
+    levels = _Memo(level)
 
     def write(value: object, pad: str) -> None:
         if isinstance(value, str):
@@ -139,23 +164,29 @@ def render_json(report: dict) -> str:
             if not value:
                 add("{}")
                 return
-            inner, sep, _, comma = levels[pad]
+            inner, keys, later_keys, _, _ = levels[pad]
             for key, item in value.items():
-                add(sep)
-                add(encode_basestring(key))
-                add(": ")
-                write(item, inner)
-                sep = comma
+                encode = scalar(item.__class__)
+                if encode is None:
+                    add(keys[key])
+                    write(item, inner)
+                else:
+                    add(keys[key] + encode(item))
+                keys = later_keys
             add(pad)
             add("}")
         elif isinstance(value, (list, tuple)):
             if not value:
                 add("[]")
                 return
-            inner, _, sep, comma = levels[pad]
+            inner, _, _, sep, comma = levels[pad]
             for item in value:
-                add(sep)
-                write(item, inner)
+                encode = scalar(item.__class__)
+                if encode is None:
+                    add(sep)
+                    write(item, inner)
+                else:
+                    add(sep + encode(item))
                 sep = comma
             add(pad)
             add("]")

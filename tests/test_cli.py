@@ -398,6 +398,21 @@ def test_check_unparsable_proof_formula_exits_3(tmp_path, capsys):
     assert code == 3
 
 
+
+def test_check_two_goals_that_are_one_kernel_formula_exits_3(tmp_path, capsys):
+    doc = {"goals": ["Win(Bok)∨Win(Fok)", "Win(Fok)∨Win(Bok)"], "proofs": [
+        {"id": "P1", "formulas": ["Brd(R1,Bok)", "Win(Bok)∨Win(Fok)"]},
+        {"id": "P2", "formulas": ["Brd(R1,Dok)", "Win(Fok)∨Win(Bok)"]},
+    ]}
+    path = tmp_path / "orderings.json"
+    path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    code, out, err = run(capsys, "check", WORLD, str(path))
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: cannot interpret proof formulas: "
+        "goals 'Win(Bok)∨Win(Fok)' and 'Win(Fok)∨Win(Bok)' are one kernel formula\n"
+    )
+
 def test_check_table_format(capsys):
     code, out, _ = run(capsys, "check", WORLD, FIXTURE, "--format", "table")
     assert code == 0

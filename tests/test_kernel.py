@@ -8,6 +8,7 @@ import pytest
 from proofinfo import kernel
 
 from proofinfo import (
+    KnowledgeSystem,
     brd,
     builtin_example,
     builtin_world,
@@ -450,6 +451,19 @@ def test_check_raises_for_the_first_bad_formula_in_proof_order(world):
     assert str(raised.value) == str(first.value)
 
 
+
+def test_two_goals_that_are_one_kernel_formula_raise(world):
+    # two goals to the analysis, but one disjunction to the kernel
+    ks = KnowledgeSystem(["Win(Bok)∨Win(Fok)", "Win(Fok)∨Win(Bok)"], [
+        ("P1", ["Brd(R1,Bok)", "Win(Bok)∨Win(Fok)"]),
+        ("P2", ["Brd(R1,Dok)", "Win(Fok)∨Win(Bok)"]),
+    ])
+    assert ks.M == 2
+    with pytest.raises(MalformedDocumentError, match=(
+        r"^goals 'Win\(Bok\)∨Win\(Fok\)' and 'Win\(Fok\)∨Win\(Bok\)' are one kernel formula$"
+    )):
+        check_knowledge_system(world, ks)
+
 def test_qb3_composite_step_records_implicit_formula(world):
     ks = builtin_example()
     results = {c.proof_id: c for c in check_knowledge_system(world, ks)}
@@ -548,6 +562,18 @@ def test_a_broadcast_about_an_undeclared_participant_raises(world, run):
     # each of these read Win(Zed) from R1, so every declared participant lost
     with pytest.raises(UnknownNameError, match=r"^unknown participant 'Zed' in 'Brd\(R1,Zed\)'$"):
         run(world)
+
+
+def test_listings_sharing_verdicts_raise_for_an_unknown_source_each_time(world):
+    # listings checked against one world share a table of source verdicts; a
+    # source the world does not declare raises at each listing that reads it
+    verdicts = kernel._VerdictTable()
+    listings = [[day_is("Fri"), brd("R2", "Bok"), win("Bok")], [day_is("Fri"), brd("R9", "Bok"), win("Bok")]]
+    for _ in range(2):
+        checked = check_proof(world, listings[0], {win("Bok")}, _verdicts=verdicts)
+        assert checked == check_proof(world, listings[0], {win("Bok")})
+        with pytest.raises(UnknownNameError, match="unknown source 'R9'"):
+            check_proof(world, listings[1], {win("Bok")}, _verdicts=verdicts)
 
 # ---- enumeration ---------------------------------------------------------------
 
@@ -730,3 +756,48 @@ def test_enumerate_lists_only_entailed_winners(seed):
             listed += 1
             assert all(holds(p.goal, world, *m) for m in worlds), (data, p.goal)
     assert listed > 50
+
+
+def _day_fact_sets(rng, world):
+    """The day facts of one data set each: none, one of each kind, and two
+    conflicting pairs."""
+    day, other = rng.sample(world.day_domain, 2)
+    return [[], [day_is(day)], [day_not(day)], [day_is(day), day_not(day)], [day_is(day), day_is(other)]]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_listings_checked_together_equal_each_listing_checked_alone(seed):
+    # one system holds the listings of data sets that differ in their day
+    # facts, so its checks share source verdicts across day contexts
+    rng = random.Random(200 + seed)
+    world = _random_world(rng, max_participants=5)
+    while len(world.day_domain) < 2 or not any(map(world.is_day_dependent, world.truthful_days)):
+        world = _random_world(rng, max_participants=5)
+    sources = sorted(world.truthful_days)
+    dependent = [s for s in sources if world.is_day_dependent(s)]
+    goals, proofs, bodies = set(), [], set()
+    for days in [days for _ in range(3) for days in _day_fact_sets(rng, world)]:
+        data = [brd(rng.choice(dependent), rng.choice(world.participants)), *days]
+        data += [brd(rng.choice(sources), rng.choice(world.participants)) for _ in range(rng.randint(0, 3))]
+        # the data, then a claim about the participant of the day-dependent broadcast
+        claim = [*rng.sample(data, len(data)), win(data[0].participant)]
+        for listing in [*_listings(rng, world, data), claim]:
+            wins = {f.text() for f in listing if f.kind == "win"}
+            body = frozenset(f.text() for f in listing)
+            if len(wins) == 1 and body not in bodies:
+                goals |= wins
+                bodies.add(body)
+                proofs.append((f"L{len(proofs)}", [f.text() for f in listing]))
+    ks = KnowledgeSystem(sorted(goals), proofs)
+    goal_forms = {parse_kformula(g, world) for g in ks.goals}
+    reasons = set()
+    for strict in (False, True):
+        alone = tuple(
+            check_proof(world, [parse_kformula(t, world) for t in p.listing], goal_forms, p.id, strict)
+            for p in ks.proofs
+        )
+        assert check_knowledge_system(world, ks, strict) == alone
+        reasons |= {reason for checked in alone for _, reason in checked.violations}
+    assert any(c.valid for c in alone)
+    assert any("reliability unknown" in r for r in reasons)
+    assert any("day" in r for r in reasons)

@@ -6,6 +6,7 @@ indented encoder, and a kernel formula with the text it prints. Runs are derando
 the suite is repeatable and leaves nothing behind.
 """
 
+import enum
 import json
 import math
 from fractions import Fraction
@@ -94,6 +95,22 @@ def test_uneven_measure_equals_oracles(ks, data):
 # control characters and non-BMP characters come with st.characters(); lone
 # surrogates only when asked for
 TEXT = st.text(st.characters() | st.characters(categories=["Cs"]), max_size=8)
+
+
+class _Str(str):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 10**20
+
+
+# subclasses of the writer's exact scalar types must take the general path
 SCALARS = (
     st.none()
     | st.booleans()
@@ -102,6 +119,10 @@ SCALARS = (
     | st.floats()
     | st.sampled_from((math.nan, math.inf, -math.inf, -0.0))
     | TEXT
+    | TEXT.map(_Str)
+    | st.floats().map(_Float)
+    | st.sampled_from(_Level)
+    | st.sampled_from(([], (), {}))
 )
 DOCUMENTS = st.recursive(
     SCALARS,
