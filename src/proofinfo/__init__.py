@@ -17,28 +17,6 @@ from .convergence import (
     max_subset_weight,
     profile,
 )
-from .kernel import (
-    CheckedProof,
-    EnumerationResult,
-    KFormula,
-    ProofListing,
-    RuleApplication,
-    WorldSpec,
-    brd,
-    builtin_world,
-    check_knowledge_system,
-    check_proof,
-    day_is,
-    day_not,
-    enumerate_proofs,
-    is_data,
-    not_win,
-    parse_kformula,
-    parse_world,
-    resolve_reliability,
-    win,
-    win_disj,
-)
 from .measure import (
     ProbabilityMeasure,
     Support,
@@ -106,3 +84,26 @@ __all__ = [
     "win",
     "win_disj",
 ]
+
+# The inference kernel loads on first use of one of its names (PEP 562), so
+# `import proofinfo` and every command but `check` never compile kernel.py.
+_KERNEL_NAMES = frozenset({
+    "kernel",
+    "CheckedProof", "EnumerationResult", "KFormula", "ProofListing", "RuleApplication",
+    "WorldSpec", "brd", "builtin_world", "check_knowledge_system", "check_proof", "day_is",
+    "day_not", "enumerate_proofs", "is_data", "not_win", "parse_kformula", "parse_world",
+    "resolve_reliability", "win", "win_disj",
+})
+
+
+def __getattr__(name: str) -> object:
+    if name in _KERNEL_NAMES:
+        import importlib
+
+        kernel = importlib.import_module(".kernel", __name__)
+        return kernel if name == "kernel" else getattr(kernel, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_KERNEL_NAMES})

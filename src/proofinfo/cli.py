@@ -15,7 +15,6 @@ from pathlib import Path
 
 from . import __version__
 from .errors import ProofInfoError
-from .kernel import check_knowledge_system, parse_world
 from .measure import proof_measure, shannon_entropy
 from .model import (
     KnowledgeSystem,
@@ -164,6 +163,8 @@ def _cmd_entropy(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _cmd_check(args: argparse.Namespace) -> tuple[dict, int]:
+    from .kernel import check_knowledge_system, parse_world  # only check loads the kernel
+
     world_doc, world_digest = _read_json(args.world_path)
     try:
         world = parse_world(world_doc)

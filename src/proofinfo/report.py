@@ -15,7 +15,6 @@ from collections.abc import Iterable, Sequence
 
 from . import __version__
 from .convergence import profile
-from .kernel import CheckedProof
 from .measure import ProbabilityMeasure
 from .model import KnowledgeSystem, _Memo, serialize_knowledge_system
 from .weight import WeightResult
@@ -93,6 +92,8 @@ def profile_entry(
     }
 
 
+# kernel.CheckedProof, left unimported (annotations are not evaluated), so
+# that importing the report writer does not load the kernel
 def check_entry(checked: CheckedProof) -> dict:
     return {
         "id": checked.proof_id,

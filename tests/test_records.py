@@ -3,7 +3,8 @@
 Each record is built positionally and by keyword, compares by its fields and
 hashes by them unless one is a read-only mapping, prints a fixed repr, refuses
 changes, keeps read-only copies of its mapping arguments, and survives copy and
-pickle; so does a knowledge system. The package exports exactly its public names.
+pickle; so does a knowledge system. The package exports exactly its public names
+and loads its inference kernel only when one of them is used.
 """
 
 import copy
@@ -236,27 +237,70 @@ def test_rule_application_defaults_to_no_implicit_hop():
     assert RuleApplication("UserData", (), _F) == _STEP
 
 
-def test_cli_import_loads_no_dataclasses_inspect_or_typing():
-    # a fresh interpreter without the site module, so only what the package
-    # itself imports is loaded (each of these costs milliseconds per start);
-    # -B keeps it from writing bytecode into the source tree
-    src = str(Path(proofinfo.__file__).parent.parent)
-    code = (
-        f"import sys; sys.path.insert(0, {src!r}); import proofinfo.cli; "
-        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
-    )
+_SRC = str(Path(proofinfo.__file__).parent.parent)
+_DATA = Path(__file__).parent / "data"
+
+
+def _fresh(code: str, stdin: bytes = b"") -> bytes:
+    """Stdout of `code` in a fresh interpreter that imports the package from
+    this tree. Without the site module only what the code and the package
+    import is loaded; -B keeps it from writing bytecode into the source tree."""
+    code = f"import sys; sys.path.insert(0, {_SRC!r}); {code}"
     done = subprocess.run(
-        [sys.executable, "-I", "-S", "-B", "-c", code], capture_output=True, text=True, check=True
+        [sys.executable, "-I", "-S", "-B", "-c", code], input=stdin, capture_output=True, check=True
     )
-    assert done.stdout == "[]\n"
+    return done.stdout
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_typing():
+    # each of these costs milliseconds per start; the kernel loads only when
+    # one of its names is used, as `check` does
+    loaded = _fresh(
+        "import proofinfo; import proofinfo.cli; print(sorted("
+        "{'dataclasses', 'inspect', 'typing', 'proofinfo.kernel'} & set(sys.modules)))"
+    )
+    assert loaded == b"[]\n"
+
+
+def test_the_kernel_loads_on_first_use():
+    # a check through the CLI loads it
+    argv = ["check", str(_DATA / "world.json"), str(_DATA / "fixture.json")]
+    code = (
+        "import io, contextlib; from proofinfo import cli\n"
+        "before = 'proofinfo.kernel' in sys.modules\n"
+        f"with contextlib.redirect_stdout(io.StringIO()): code = cli.main({argv!r})\n"
+        "print(before, 'proofinfo.kernel' in sys.modules, code)"
+    )
+    assert _fresh(code) == b"False True 0\n"
+    # after a bare import, the name `kernel` resolves to the module
+    code = "import proofinfo; print('proofinfo.kernel' in sys.modules, proofinfo.kernel.__name__)"
+    assert _fresh(code) == b"False proofinfo.kernel\n"
+    # each lazy name is the kernel's own object
+    lazy = [name for name in proofinfo.__all__ if name not in vars(proofinfo)]
+    assert len(lazy) == 20
+    for name in lazy:
+        assert getattr(proofinfo, name) is getattr(proofinfo.kernel, name), name
+    with pytest.raises(AttributeError, match="module 'proofinfo' has no attribute 'kernal'"):
+        proofinfo.kernal
+
+
+def test_a_checked_proof_unpickles_in_a_fresh_process():
+    # a worker process that has imported nothing finds the kernel's classes
+    checked = proofinfo.check_knowledge_system(proofinfo.builtin_world(), builtin_example())
+    code = (
+        "import pickle; received = pickle.loads(sys.stdin.buffer.read())\n"
+        "from proofinfo import builtin_example, builtin_world, check_knowledge_system\n"
+        "print(received == check_knowledge_system(builtin_world(), builtin_example()))"
+    )
+    assert _fresh(code, pickle.dumps(checked)) == b"True\n"
 
 
 def test_all_lists_exactly_the_public_names():
-    # every public class and function the package binds, the errors module
-    # and the version, each once
+    # every public class and function the package binds or loads on first
+    # use, the errors module and the version, each once
     public = {
-        name for name, value in vars(proofinfo).items()
-        if not name.startswith("_") and not isinstance(value, ModuleType)
+        name for name in dir(proofinfo)
+        if not name.startswith("_") and not isinstance(getattr(proofinfo, name), ModuleType)
     }
     assert sorted(proofinfo.__all__) == sorted(public | {"errors", "__version__"})
     assert len(proofinfo.__all__) == 41
