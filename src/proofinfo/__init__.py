@@ -98,7 +98,7 @@ _KERNEL_NAMES = frozenset({
 
 def __getattr__(name: str) -> object:
     if name in _KERNEL_NAMES:
-        import importlib
+        import importlib  # `from . import kernel` would ask this hook for "kernel" again
 
         kernel = importlib.import_module(".kernel", __name__)
         return kernel if name == "kernel" else getattr(kernel, name)
