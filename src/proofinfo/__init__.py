@@ -36,6 +36,15 @@ from .model import (
 )
 from .weight import WeightResult, weight
 
+# The inference kernel loads on first use of one of its names (PEP 562), so
+# `import proofinfo` and every command but `check` never compile kernel.py.
+_KERNEL_NAMES = (
+    "CheckedProof", "EnumerationResult", "KFormula", "ProofListing", "RuleApplication",
+    "WorldSpec", "brd", "builtin_world", "check_knowledge_system", "check_proof", "day_is",
+    "day_not", "enumerate_proofs", "is_data", "not_win", "parse_kformula", "parse_world",
+    "resolve_reliability", "win", "win_disj",
+)
+
 __all__ = [
     "__version__",
     "errors",
@@ -62,42 +71,12 @@ __all__ = [
     "certainty_threshold",
     "max_subset_weight",
     "profile",
-    # kernel
-    "CheckedProof",
-    "EnumerationResult",
-    "KFormula",
-    "ProofListing",
-    "RuleApplication",
-    "WorldSpec",
-    "brd",
-    "builtin_world",
-    "check_knowledge_system",
-    "check_proof",
-    "day_is",
-    "day_not",
-    "enumerate_proofs",
-    "is_data",
-    "not_win",
-    "parse_kformula",
-    "parse_world",
-    "resolve_reliability",
-    "win",
-    "win_disj",
+    *_KERNEL_NAMES,
 ]
-
-# The inference kernel loads on first use of one of its names (PEP 562), so
-# `import proofinfo` and every command but `check` never compile kernel.py.
-_KERNEL_NAMES = frozenset({
-    "kernel",
-    "CheckedProof", "EnumerationResult", "KFormula", "ProofListing", "RuleApplication",
-    "WorldSpec", "brd", "builtin_world", "check_knowledge_system", "check_proof", "day_is",
-    "day_not", "enumerate_proofs", "is_data", "not_win", "parse_kformula", "parse_world",
-    "resolve_reliability", "win", "win_disj",
-})
 
 
 def __getattr__(name: str) -> object:
-    if name in _KERNEL_NAMES:
+    if name == "kernel" or name in _KERNEL_NAMES:
         import importlib  # `from . import kernel` would ask this hook for "kernel" again
 
         kernel = importlib.import_module(".kernel", __name__)
@@ -106,4 +85,4 @@ def __getattr__(name: str) -> object:
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *_KERNEL_NAMES})
+    return sorted({*globals(), "kernel", *_KERNEL_NAMES})

@@ -60,19 +60,6 @@ class WeightProfile(_Record):
         "average_speed",
     )
 
-    def __init__(
-        self,
-        proof_id: str,
-        max_weights: tuple[float, ...],
-        witnesses: tuple[tuple[str, ...], ...],
-        certainty_threshold: int,
-        average_weight: float,
-        average_speed: float,
-    ) -> None:
-        self._set(
-            proof_id, max_weights, witnesses, certainty_threshold, average_weight, average_speed
-        )
-
 
 def _resolve_proof(ks: KnowledgeSystem, proof_id: str) -> Proof:
     try:

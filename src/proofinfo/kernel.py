@@ -533,15 +533,6 @@ class RuleApplication(_Record):
 class CheckedProof(_Record):
     __slots__ = ("proof_id", "steps", "valid", "violations")
 
-    def __init__(
-        self,
-        proof_id: str,
-        steps: tuple[RuleApplication, ...],
-        valid: bool,
-        violations: tuple[tuple[int, str], ...],
-    ) -> None:
-        self._set(proof_id, steps, valid, violations)
-
 
 def _leading_premises(facts: _Facts, f: KFormula) -> Iterator[tuple[int, KFormula]]:
     """The earlier formulas whose rules can conclude f, in priority order.
@@ -717,9 +708,6 @@ class ProofListing(_Record):
 
     __slots__ = ("goal", "formulas")
 
-    def __init__(self, goal: KFormula, formulas: tuple[KFormula, ...]) -> None:
-        self._set(goal, formulas)
-
     def texts(self) -> tuple[str, ...]:
         return tuple(f.text() for f in self.formulas)
 
@@ -728,9 +716,6 @@ class EnumerationResult(_Record):
     """The enumerated proofs, and the participants derived both to win and not to win."""
 
     __slots__ = ("proofs", "contradictions")
-
-    def __init__(self, proofs: tuple[ProofListing, ...], contradictions: tuple[str, ...]) -> None:
-        self._set(proofs, contradictions)
 
 
 def enumerate_proofs(

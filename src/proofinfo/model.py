@@ -77,14 +77,16 @@ class _Record:
     """Base of the package's immutable objects.
 
     A record names its fields in `__slots__`, in constructor order (a slot
-    named with a leading "_" holds derived state, not a field), and its
-    `__init__` ends in one `_set` call with a value for every slot, which is
-    the only write that gets past the refusing `__setattr__`. Records of one
-    class compare and hash by their field values, or by what `_key` returns
-    if the class defines it; a record whose key holds a read-only mapping
-    raises TypeError on hash. Records print as Class(field=value, ...),
-    refuse every change, and copy and pickle by calling the class on their
-    field values, each read-only mapping passed as a plain dict.
+    named with a leading "_" holds derived state, not a field). The generated
+    `_set(self, <slot names>)` is the only write that gets past the refusing
+    `__setattr__`: a class that defines no `__init__` is built by it, and an
+    `__init__` that checks or derives values ends in one `_set` call with a
+    value for every slot. Records of one class compare and hash by their
+    field values, or by what `_key` returns if the class defines it; a
+    record whose key holds a read-only mapping raises TypeError on hash.
+    Records print as Class(field=value, ...), refuse every change, and copy
+    and pickle by calling the class on their field values, each read-only
+    mapping passed as a plain dict.
     """
 
     __slots__ = ()
@@ -101,10 +103,14 @@ class _Record:
         # slot's own setter; written out per class, as dataclasses writes
         # __init__, it makes no Python-level loop over the slots
         setters = {f"set{i}": getattr(cls, name).__set__ for i, name in enumerate(cls.__slots__)}
-        values = ", ".join(f"v{i}" for i in range(len(setters)))
-        body = "".join(f"\n    set{i}(self, v{i})" for i in range(len(setters)))
-        exec(f"def _set(self, {values}):{body}", setters)
+        body = "".join(f"\n    set{i}(self, {name})" for i, name in enumerate(cls.__slots__))
+        exec(f"def _set(self, {', '.join(cls.__slots__)}):{body}", setters)
         cls._set = setters["_set"]
+        if "__init__" not in vars(cls):
+            # a record that only stores its fields is built by its setter,
+            # named so that an arity error names the class
+            cls.__init__ = cls._set
+            cls._set.__name__, cls._set.__qualname__ = "__init__", f"{cls.__qualname__}.__init__"
 
     def __eq__(self, other: object) -> bool:
         if other is self:
@@ -142,11 +148,6 @@ class Proof(_Record):
 
     __slots__ = ("id", "formulas", "goal", "listing")
 
-    def __init__(
-        self, id: str, formulas: frozenset[str], goal: str, listing: tuple[str, ...]
-    ) -> None:
-        self._set(id, formulas, goal, listing)
-
 
 class KnowledgeSystem(_Record):
     """Validated, immutable collection of proofs with goal-class indexes.
@@ -178,7 +179,7 @@ class KnowledgeSystem(_Record):
     ) -> None:
         # each distinct string is normalized once (large systems repeat a few dozen)
         normalized = _Memo(normalize_formula)
-        goal_list: list[str] = []
+        declared: dict[str, None] = {}  # input order, and a constant-time membership test
         for pos, raw in enumerate(_collection(goals, "goals")):
             try:
                 text = normalized[raw]
@@ -186,16 +187,16 @@ class KnowledgeSystem(_Record):
                 raise EmptyFormulaError(f"goals[{pos}]: {exc}") from exc
             except TypeError:  # not a str, or not even hashable
                 raise TypeError(f"goals[{pos}] is a str, not {raw!r}") from None
-            if text in goal_list:
+            if text in declared:
                 raise MalformedDocumentError(f"goal {text!r} declared twice")
-            goal_list.append(text)
-        if not goal_list:
+            declared[text] = None
+        if not declared:
             raise MalformedDocumentError("a knowledge system needs at least one goal")
 
-        goal_set = frozenset(goal_list)
+        goal_set = frozenset(declared)
 
         by_id: dict[str, Proof] = {}
-        classes: dict[str, list[str]] = {g: [] for g in goal_list}
+        classes: dict[str, list[str]] = {g: [] for g in declared}
         formula_masks: dict[str, int] = {}
         seen_bodies: dict[frozenset[str], str] = {}
         for pos, pair in enumerate(_collection(proofs, "proofs")):
@@ -249,12 +250,12 @@ class KnowledgeSystem(_Record):
             if not members:
                 raise UncoveredGoalError(f"goal {g!r} appears in no proof")
         self._set(
-            tuple(goal_list),
+            tuple(declared),
             goal_set,
             tuple(by_id.values()),
             MappingProxyType(by_id),
             MappingProxyType({g: tuple(members) for g, members in classes.items()}),
-            len(goal_list),
+            len(declared),
             MappingProxyType(formula_masks),
         )
 

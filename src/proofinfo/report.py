@@ -134,8 +134,10 @@ def render_json(report: dict) -> str:
 
     The standard library encodes indented output with its pure-Python
     encoder, so this writes the same text directly. Strings go through the
-    same escaping function, every key must be a str, and only floats (and
-    unsupported types, which raise TypeError) fall back to `json.dumps`.
+    same escaping function and every key must be a str. Any other value
+    that is not a dict, a list or a tuple (a float, a subclass of a scalar
+    type, a top-level scalar, or an unsupported type, which raises
+    TypeError) is written by `json.dumps`, which encodes a scalar alike.
     """
     parts: list[str] = []
     add = parts.append
@@ -159,9 +161,7 @@ def render_json(report: dict) -> str:
     levels = _Memo(level)
 
     def write(value: object, pad: str) -> None:
-        if isinstance(value, str):
-            add(encode_basestring(value))
-        elif isinstance(value, dict):
+        if isinstance(value, dict):
             if not value:
                 add("{}")
                 return
@@ -191,16 +191,8 @@ def render_json(report: dict) -> str:
                 sep = comma
             add(pad)
             add("]")
-        elif value is None:
-            add("null")
-        elif value is True:
-            add("true")
-        elif value is False:
-            add("false")
-        elif isinstance(value, int):
-            add(int.__repr__(value))
         else:
-            add(json.dumps(value))
+            add(json.dumps(value, ensure_ascii=False))
 
     write(report, "\n")
     add("\n")  # joined with the rest instead of appended to a copy

@@ -11,9 +11,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 
-from .measure import (
-    ProbabilityMeasure, Support, _goal_masses, _require_system, _support, _support_mask,
-)
+from .measure import ProbabilityMeasure, _goal_masses, _require_system, _support, _support_mask
 from .model import KnowledgeSystem, _Memo, _Record
 
 
@@ -26,9 +24,6 @@ class WeightResult(_Record):
     """
 
     __slots__ = ("value", "support", "certain", "empty_support")
-
-    def __init__(self, value: float, support: Support, certain: bool, empty_support: bool) -> None:
-        self._set(value, support, certain, empty_support)
 
 
 def _rivals(ks: KnowledgeSystem, goal: str) -> int:

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -162,6 +163,15 @@ def test_uncovered_goal_rejected():
     doc = {"goals": ["g", "h"], "proofs": [{"id": "P1", "formulas": ["g"]}]}
     with pytest.raises(UncoveredGoalError, match="h"):
         parse_knowledge_system(doc)
+
+
+def test_many_goals_are_checked_in_linear_time():
+    # a duplicate-goal test that scans a list took 18.8 s on these 50,000 goals
+    goals = [f"g{i}" for i in range(50_000)]
+    start = time.perf_counter()
+    with pytest.raises(UncoveredGoalError, match="'g1'"):
+        KnowledgeSystem(goals, [("P0", ["g0"])])
+    assert time.perf_counter() - start < 2
 
 
 def test_empty_formula_error_names_position():

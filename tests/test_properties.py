@@ -1,9 +1,11 @@
 """Differential properties on Hypothesis-generated systems and documents.
 
 The package's support and profile are compared with the slow references in
-tests/oracles.py, the JSON report writer with the standard library's
-indented encoder, and a kernel formula with the text it prints. Runs are derandomized and keep no example database, so
-the suite is repeatable and leaves nothing behind.
+tests/oracles.py, profiles with themselves under two relations of the
+measure (reordering the system, adding a disjoint goal class), the JSON
+report writer with the standard library's indented encoder, and a kernel
+formula with the text it prints. Runs are derandomized and keep no example
+database, so the suite is repeatable and leaves nothing behind.
 """
 
 import enum
@@ -18,6 +20,7 @@ from hypothesis import strategies as st
 from oracles import profile_exhaustive, support_by_class_scan, weight_by_fractions
 from proofinfo import (
     KFormula,
+    KnowledgeSystem,
     ProbabilityMeasure,
     WorldSpec,
     brd,
@@ -62,6 +65,46 @@ def test_profile_equals_exhaustive(ks, data):
     ref = profile_exhaustive(ks, measure, pid)
     assert profile(ks, measure, pid) == ref
     assert certainty_threshold(ks, pid) == ref.certainty_threshold
+
+
+def _profiles(ks):
+    measure = proof_measure(ks)
+    return {p.id: profile(ks, measure, p.id) for p in ks.proofs}
+
+
+# scaling by M/(M+1) is exact in the rationals; the floats of the two
+# systems are rounded separately, by about 1e-15 relative at most
+SCALE_TOLERANCE = 1e-12
+
+
+# one property for both relations: drawing a system costs more than
+# profiling it, so each relation in a property of its own would double that
+@BOUNDED
+@given(systems(), st.randoms(use_true_random=False))
+def test_profiles_ignore_order_and_scale_with_a_disjoint_goal_class(ks, rng):
+    refs = _profiles(ks)
+    # order: bit positions only name proofs, and fsum ignores the goal order
+    goals, proofs = list(ks.goals), [(p.id, p.listing) for p in ks.proofs]
+    rng.shuffle(goals)
+    rng.shuffle(proofs)
+    for pid, got in _profiles(KnowledgeSystem(goals, proofs)).items():
+        assert got.max_weights == refs[pid].max_weights
+        assert got.witnesses == refs[pid].witnesses
+        assert got.certainty_threshold == refs[pid].certainty_threshold
+    # a disjoint class: no nonempty subset of an old proof reaches the new
+    # goal, every old mass scales by M/(M+1), and the difference form is
+    # homogeneous; witnesses are not compared, as scaling may reorder near-ties
+    wider = KnowledgeSystem([*ks.goals, "h"], [*proofs, ("Q", ["h", "x"])])
+    scale = ks.M / (ks.M + 1)
+    for pid, got in _profiles(wider).items():
+        if pid == "Q":
+            continue
+        ref = refs[pid]
+        assert got.certainty_threshold == ref.certainty_threshold
+        for k in range(1, len(ref.max_weights)):
+            assert math.isclose(
+                got.max_weights[k], scale * ref.max_weights[k], rel_tol=SCALE_TOLERANCE
+            ), (pid, k)
 
 
 # Hypothesis 6.155's explain phase fails an internal assertion on this

@@ -1,10 +1,11 @@
 """The package's immutable record types behave as value objects.
 
-Each record is built positionally and by keyword, compares by its fields and
-hashes by them unless one is a read-only mapping, prints a fixed repr, refuses
-changes, keeps read-only copies of its mapping arguments, and survives copy and
-pickle; so does a knowledge system. The package exports exactly its public names
-and loads its inference kernel only when one of them is used.
+Each record is built positionally and by keyword, names its class in an arity
+error, compares by its fields and hashes by them unless one is a read-only
+mapping, prints a fixed repr, refuses changes, keeps read-only copies of its
+mapping arguments, and survives copy and pickle; so does a knowledge system.
+The package exports exactly its public names and loads its inference kernel
+only when one of them is used.
 """
 
 import copy
@@ -149,6 +150,13 @@ def test_each_field_takes_part_in_equality(cls, names, values, others, text, has
         changed = cls(*args)
         assert changed != sample and not changed == sample, names[i]
     assert sample != values and sample != object()
+
+
+@each_record
+def test_arity_errors_name_the_class(cls, names, values, others, text, hashable):
+    with pytest.raises(TypeError) as info:
+        cls(*values, None)
+    assert str(info.value).startswith(f"{cls.__name__}.__init__()")
 
 
 @each_record
