@@ -116,16 +116,11 @@ def _cmd_validate(args: argparse.Namespace) -> tuple[dict, int]:
     try:
         ks = parse_knowledge_system(document)
     except ProofInfoError as exc:
-        results = {
-            "valid": False,
-            "violations": [
-                {"code": type(exc).__name__.removesuffix("Error"), "message": str(exc)}
-            ],
-        }
-        report = base_report("validate", {"path": args.path}, input_desc, results)
-        return report, EXIT_DOMAIN
-    results = {"valid": True, **summary_results(ks)}
-    return base_report("validate", {"path": args.path}, input_desc, results), EXIT_OK
+        violation = {"code": type(exc).__name__.removesuffix("Error"), "message": str(exc)}
+        results, code = {"valid": False, "violations": [violation]}, EXIT_DOMAIN
+    else:
+        results, code = {"valid": True, **summary_results(ks)}, EXIT_OK
+    return base_report("validate", {"path": args.path}, input_desc, results), code
 
 
 def _cmd_weight(args: argparse.Namespace) -> tuple[dict, int]:
@@ -199,48 +194,41 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"proofinfo {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    # the one option every subcommand takes
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument(
+        "--format", choices=("json", "table"), default="json", help="output format (default: json)"
+    )
 
-    def add_format(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--format", choices=("json", "table"), default="json",
-            help="output format (default: json)",
-        )
-
-    p = sub.add_parser("demo", help="analyze the built-in example end to end")
-    add_format(p)
+    p = sub.add_parser("demo", parents=[common], help="analyze the built-in example end to end")
     p.set_defaults(handler=_cmd_demo)
 
-    p = sub.add_parser("validate", help="validate a knowledge-system file")
+    p = sub.add_parser("validate", parents=[common], help="validate a knowledge-system file")
     p.add_argument("path")
-    add_format(p)
     p.set_defaults(handler=_cmd_validate)
 
-    p = sub.add_parser("weight", help="entropic weight of a formula subset")
+    p = sub.add_parser("weight", parents=[common], help="entropic weight of a formula subset")
     p.add_argument("path")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--subset", help="comma-separated formulas ('' for the empty set)")
     group.add_argument("--subset-file", help="file with one formula per line")
-    add_format(p)
-    p.set_defaults(handler=_cmd_weight, subset=None, subset_file=None)
+    p.set_defaults(handler=_cmd_weight)
 
-    p = sub.add_parser("profile", help="convergence profile of a proof")
+    p = sub.add_parser("profile", parents=[common], help="convergence profile of a proof")
     p.add_argument("path")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--proof", help="proof id")
     group.add_argument("--all", action="store_true", help="profile every proof")
-    add_format(p)
     p.set_defaults(handler=_cmd_profile)
 
-    p = sub.add_parser("entropy", help="Shannon entropy of an exact distribution")
+    p = sub.add_parser("entropy", parents=[common], help="Shannon entropy of an exact distribution")
     p.add_argument("--dist", required=True, help="comma-separated rationals, e.g. 1/4,1/4,1/2")
-    add_format(p)
     p.set_defaults(handler=_cmd_entropy)
 
-    p = sub.add_parser("check", help="check every proof of a system against a world")
+    p = sub.add_parser("check", parents=[common], help="check every proof of a system against a world")
     p.add_argument("world_path")
     p.add_argument("ks_path")
     p.add_argument("--strict", action="store_true", help="forbid implicit derivation hops")
-    add_format(p)
     p.set_defaults(handler=_cmd_check)
 
     return parser

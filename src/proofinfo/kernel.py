@@ -375,7 +375,7 @@ def _possible_days(world: WorldSpec, day_facts: Iterable[KFormula]) -> frozenset
             fixed.add(f.day)
         elif f.kind == "day_not":
             excluded.add(f.day)
-    for day in fixed | excluded:
+    for day in sorted(fixed | excluded):  # the first unknown day, whatever the hash seed
         if day not in world.day_domain:
             raise UnknownNameError(f"unknown day {day!r} in day facts")
     if len(fixed) > 1:
@@ -414,37 +414,27 @@ def resolve_reliability(
 # facts and the rule table
 # ---------------------------------------------------------------------------
 
-class _VerdictTable(dict):
-    """Each source's verdict under one sequence of day facts, as `_Facts`
-    words it, and in `after` the table of each sequence one day fact longer.
-    Listings checked against one world may share the table of the empty
-    sequence, so each verdict is resolved once per distinct pair of source
-    and day facts in listing order."""
-
-    __slots__ = ("after",)
-
-    def __init__(self) -> None:
-        self.after: dict[KFormula, _VerdictTable] = _Memo(lambda day_fact: _VerdictTable())
-
-
 class _Facts:
     """The formulas listed or derived so far, with the lookups the rules use:
-    the first index of each derivable formula, the indices of the day facts,
-    and each source's verdict under those day facts, kept in a
-    `_VerdictTable`: TRUTHFUL, DECEITFUL, or why the day facts resolve it to
-    neither."""
+    the first index of each derivable formula, the indices of the day facts
+    and their set, and each source's verdict under that set: TRUTHFUL,
+    DECEITFUL, or why the day facts resolve it to neither. A verdict depends
+    only on the set, so `tables` maps each set to its {source: verdict} dict,
+    and listings checked against one world may share it."""
 
     def __init__(
         self,
         world: WorldSpec,
         formulas: Iterable[KFormula] = (),
-        verdicts: _VerdictTable | None = None,
+        tables: dict[frozenset[KFormula], dict[str, str]] | None = None,
     ) -> None:
         self.world = world
         self.formulas: list[KFormula] = []
         self.first: dict[KFormula, int] = {}
         self.days: tuple[int, ...] = ()
-        self._verdicts = _VerdictTable() if verdicts is None else verdicts
+        self._context: frozenset[KFormula] = frozenset()
+        self._tables = {} if tables is None else tables
+        self._verdicts = self._tables.setdefault(self._context, {})
         for f in formulas:
             self.append(f)
 
@@ -452,16 +442,16 @@ class _Facts:
         kind = formula.kind
         if kind in _DAY_KINDS:
             self.days += (len(self.formulas),)
-            self._verdicts = self._verdicts.after[formula]
+            self._context |= {formula}
+            self._verdicts = self._tables.setdefault(self._context, {})
         elif kind != "brd":  # user data is never looked up
             self.first.setdefault(formula, len(self.formulas))
         self.formulas.append(formula)
 
     def verdict(self, source: str) -> str:
         if source not in self._verdicts:
-            day_facts = [self.formulas[j] for j in self.days]
             try:
-                verdict = resolve_reliability(self.world, source, day_facts)
+                verdict = resolve_reliability(self.world, source, self._context)
             except InconsistentDayContextError as exc:
                 verdict = str(exc)
             self._verdicts[source] = f"{source} reliability unknown" if verdict == UNKNOWN else verdict
@@ -633,7 +623,7 @@ def check_proof(
     proof_id: str = "proof",
     strict: bool = False,
     *,
-    _verdicts: _VerdictTable | None = None,
+    _verdicts: dict[frozenset[KFormula], dict[str, str]] | None = None,
 ) -> CheckedProof:
     """Check an ordered proof listing against the rules.
 
@@ -641,13 +631,13 @@ def check_proof(
     the last formula must be one of goal_forms. Unused (extraneous) formulas
     are fine. Invalidity is a result, not an exception.
     """
-    # _verdicts is the verdict table that check_knowledge_system shares
+    # _verdicts holds the verdict tables that check_knowledge_system shares
     # among the listings it checks
     formulas = list(_collection(formulas, "formulas"))
     goal_forms = _collection(goal_forms, "goal_forms")
     if not formulas:
         raise ValueError("empty proof listing")
-    facts = _Facts(world, verdicts=_verdicts)
+    facts = _Facts(world, tables=_verdicts)
     steps: list[RuleApplication] = []
     violations: list[tuple[int, str]] = []
     try:
@@ -678,20 +668,16 @@ def check_knowledge_system(
 
     Each distinct text is parsed once, in the order of first use, so the
     first bad formula still raises; steps share the frozen `KFormula`, and
-    listings share one table of source verdicts. Two goals that parse to one
+    listings share the tables of source verdicts. Two goals that parse to one
     formula raise MalformedDocumentError.
     """
     # world goes by position, the one signature a wrapped parse_kformula must keep
     parsed = _Memo(lambda text: parse_kformula(text, world))
-    goal_forms = {parsed[g] for g in ks.goals}
-    if len(goal_forms) < len(ks.goals):
-        first: dict[KFormula, str] = {}
-        for g in ks.goals:
-            if first.setdefault(parsed[g], g) != g:
-                raise MalformedDocumentError(
-                    f"goals {first[parsed[g]]!r} and {g!r} are one kernel formula"
-                )
-    verdicts = _VerdictTable()
+    goal_forms: dict[KFormula, str] = {}  # each form -> the goal that wrote it
+    for g in ks.goals:
+        if goal_forms.setdefault(parsed[g], g) != g:
+            raise MalformedDocumentError(f"goals {goal_forms[parsed[g]]!r} and {g!r} are one kernel formula")
+    verdicts: dict[frozenset[KFormula], dict[str, str]] = {}
     return tuple(
         check_proof(world, list(map(parsed.__getitem__, p.listing)), goal_forms, p.id, strict,
                     _verdicts=verdicts)

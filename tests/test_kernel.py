@@ -399,6 +399,9 @@ def test_resolve_reliability(world):
         resolve_reliability(world, "R9", [])
     with pytest.raises(UnknownNameError, match=r"^unknown day 'Sun' in day facts$"):
         resolve_reliability(world, "R1", [day_is("Sun")])
+    # two unknown days: the first in sorted order, under every hash seed
+    with pytest.raises(UnknownNameError, match=r"^unknown day 'Mon' in day facts$"):
+        resolve_reliability(world, "R1", [day_not("Sun"), day_not("Mon")])
 
 
 # ---- proof checking ----------------------------------------------------------
@@ -567,13 +570,34 @@ def test_a_broadcast_about_an_undeclared_participant_raises(world, run):
 def test_listings_sharing_verdicts_raise_for_an_unknown_source_each_time(world):
     # listings checked against one world share a table of source verdicts; a
     # source the world does not declare raises at each listing that reads it
-    verdicts = kernel._VerdictTable()
+    verdicts = {}
     listings = [[day_is("Fri"), brd("R2", "Bok"), win("Bok")], [day_is("Fri"), brd("R9", "Bok"), win("Bok")]]
     for _ in range(2):
         checked = check_proof(world, listings[0], {win("Bok")}, _verdicts=verdicts)
         assert checked == check_proof(world, listings[0], {win("Bok")})
         with pytest.raises(UnknownNameError, match="unknown source 'R9'"):
             check_proof(world, listings[1], {win("Bok")}, _verdicts=verdicts)
+
+
+def test_listings_with_one_set_of_day_facts_resolve_each_source_once(world, monkeypatch):
+    # a verdict depends on the day facts as a set, so their order in the
+    # listing does not split the table
+    calls = Counter()
+    real = kernel.resolve_reliability
+
+    def counting(w, source, day_context):
+        calls[source] += 1
+        return real(w, source, day_context)
+
+    monkeypatch.setattr(kernel, "resolve_reliability", counting)
+    days = [day_not("Fri"), day_is("Other")]
+    verdicts = {}
+    for order in (days, days[::-1]):
+        checked = check_proof(world, [*order, brd("R2", "Dok"), not_win("Dok")], {not_win("Dok")},
+                              _verdicts=verdicts)
+        assert checked.valid
+        assert checked.steps[-1].rule == "DeceitfulBroadcast"
+    assert calls == Counter({"R2": 1})
 
 # ---- enumeration ---------------------------------------------------------------
 
@@ -759,10 +783,11 @@ def test_enumerate_lists_only_entailed_winners(seed):
 
 
 def _day_fact_sets(rng, world):
-    """The day facts of one data set each: none, one of each kind, and two
-    conflicting pairs."""
+    """The day facts of one data set each: none, one of each kind, two
+    conflicting pairs, and one of them permuted, which shares its verdicts."""
     day, other = rng.sample(world.day_domain, 2)
-    return [[], [day_is(day)], [day_not(day)], [day_is(day), day_not(day)], [day_is(day), day_is(other)]]
+    return [[], [day_is(day)], [day_not(day)], [day_is(day), day_not(day)], [day_is(day), day_is(other)],
+            [day_not(day), day_is(day)]]
 
 
 @pytest.mark.parametrize("seed", range(4))

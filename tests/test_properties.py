@@ -1,11 +1,12 @@
 """Differential properties on Hypothesis-generated systems and documents.
 
 The package's support and profile are compared with the slow references in
-tests/oracles.py, profiles with themselves under two relations of the
-measure (reordering the system, adding a disjoint goal class), the JSON
-report writer with the standard library's indented encoder, and a kernel
-formula with the text it prints. Runs are derandomized and keep no example
-database, so the suite is repeatable and leaves nothing behind.
+tests/oracles.py, profiles with themselves under three relations of the
+measure (reordering the system, renaming its formulas in order, adding
+disjoint goal classes), the JSON report writer with the standard library's
+indented encoder, and a kernel formula with the text it prints. Runs are
+derandomized and keep no example database, so the suite is repeatable and
+leaves nothing behind.
 """
 
 import enum
@@ -72,16 +73,16 @@ def _profiles(ks):
     return {p.id: profile(ks, measure, p.id) for p in ks.proofs}
 
 
-# scaling by M/(M+1) is exact in the rationals; the floats of the two
+# scaling by M/(M+k) is exact in the rationals; the floats of the two
 # systems are rounded separately, by about 1e-15 relative at most
 SCALE_TOLERANCE = 1e-12
 
 
-# one property for both relations: drawing a system costs more than
-# profiling it, so each relation in a property of its own would double that
+# one property for all three relations: drawing a system costs more than
+# profiling it, so each relation in a property of its own would repeat that
 @BOUNDED
-@given(systems(), st.randoms(use_true_random=False))
-def test_profiles_ignore_order_and_scale_with_a_disjoint_goal_class(ks, rng):
+@given(systems(), st.randoms(use_true_random=False), st.integers(1, 3))
+def test_profiles_ignore_order_and_scale_with_a_disjoint_goal_class(ks, rng, k):
     refs = _profiles(ks)
     # order: bit positions only name proofs, and fsum ignores the goal order
     goals, proofs = list(ks.goals), [(p.id, p.listing) for p in ks.proofs]
@@ -91,20 +92,27 @@ def test_profiles_ignore_order_and_scale_with_a_disjoint_goal_class(ks, rng):
         assert got.max_weights == refs[pid].max_weights
         assert got.witnesses == refs[pid].witnesses
         assert got.certainty_threshold == refs[pid].certainty_threshold
-    # a disjoint class: no nonempty subset of an old proof reaches the new
-    # goal, every old mass scales by M/(M+1), and the difference form is
+    # a renaming that keeps the order of the texts maps each witness by itself
+    renamed = KnowledgeSystem(["r" + g for g in goals], [(pid, ["r" + t for t in ts]) for pid, ts in proofs])
+    for pid, got in _profiles(renamed).items():
+        assert got.max_weights == refs[pid].max_weights
+        assert got.witnesses == tuple(tuple("r" + t for t in w) for w in refs[pid].witnesses)
+        assert got.certainty_threshold == refs[pid].certainty_threshold
+    # k disjoint classes: no nonempty subset of an old proof reaches a new
+    # goal, every old mass scales by M/(M+k), and the difference form is
     # homogeneous; witnesses are not compared, as scaling may reorder near-ties
-    wider = KnowledgeSystem([*ks.goals, "h"], [*proofs, ("Q", ["h", "x"])])
-    scale = ks.M / (ks.M + 1)
+    wider = KnowledgeSystem([*ks.goals, *(f"h{i}" for i in range(k))],
+                            [*proofs, *((f"Q{i}", [f"h{i}", f"x{i}"]) for i in range(k))])
+    scale = ks.M / (ks.M + k)
     for pid, got in _profiles(wider).items():
-        if pid == "Q":
+        if pid.startswith("Q"):
             continue
         ref = refs[pid]
         assert got.certainty_threshold == ref.certainty_threshold
-        for k in range(1, len(ref.max_weights)):
+        for j in range(1, len(ref.max_weights)):
             assert math.isclose(
-                got.max_weights[k], scale * ref.max_weights[k], rel_tol=SCALE_TOLERANCE
-            ), (pid, k)
+                got.max_weights[j], scale * ref.max_weights[j], rel_tol=SCALE_TOLERANCE
+            ), (pid, j)
 
 
 # Hypothesis 6.155's explain phase fails an internal assertion on this
