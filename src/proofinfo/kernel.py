@@ -439,12 +439,20 @@ class _Facts:
             self.append(f)
 
     def append(self, formula: KFormula) -> None:
+        """Add a formula; a day or broadcast fact naming what the world does
+        not declare raises UnknownNameError, whether or not a rule reads it."""
         kind = formula.kind
         if kind in _DAY_KINDS:
+            if formula.day not in self.world.day_domain:
+                raise UnknownNameError(f"unknown day {formula.day!r} in day facts")
             self.days += (len(self.formulas),)
             self._context |= {formula}
             self._verdicts = self._tables.setdefault(self._context, {})
-        elif kind != "brd":  # user data is never looked up
+        elif kind == "brd":  # user data is never looked up, only checked
+            self.world.truthful_on(formula.source)  # raises for an undeclared source
+            if formula.participant not in self.world.participants:
+                raise UnknownNameError(f"unknown participant {formula.participant!r} in {formula.text()!r}")
+        else:
             self.first.setdefault(formula, len(self.formulas))
         self.formulas.append(formula)
 
@@ -468,8 +476,6 @@ _win, _not_win, _win_disj = (functools.lru_cache(maxsize=4096)(f) for f in (win,
 
 def _from_broadcast(facts: _Facts, j: int, e: KFormula) -> Iterator[_Application]:
     verdict = facts.verdict(e.source)
-    if e.participant not in facts.world.participants:
-        raise UnknownNameError(f"unknown participant {e.participant!r} in {e.text()!r}")
     # a day-dependent source's verdict rests on the day facts as well
     premises = (j, *facts.days) if facts.world.is_day_dependent(e.source) else (j,)
     if verdict == TRUTHFUL:

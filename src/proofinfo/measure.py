@@ -4,7 +4,8 @@ All probabilities are exact rationals (fractions.Fraction); floating point
 enters only through logarithms. A measure is checked against one knowledge
 system, and compiled to integer masses over one common denominator, when it
 is built. The measure of proof_measure is fully determined by the system:
-goals are equiprobable, and within a goal class every proof is equiprobable.
+goals are equiprobable, and within a goal class every proof is equiprobable,
+so it is compiled from the goal classes and needs no check.
 A support is the AND of its formulas' proof masks on the system's bitset
 index, and its per-goal masses are popcounts times the integer masses.
 """
@@ -59,10 +60,23 @@ class Support(_Record):
 
 
 def proof_measure(ks: KnowledgeSystem) -> ProbabilityMeasure:
-    """The maximum-uncertainty measure: mass 1/(M * class size) per proof."""
+    """The maximum-uncertainty measure: mass 1/(M * class size) per proof.
+
+    Compiled straight from the goal classes to the form _mass_groups would
+    give: L is the lcm of the M * class sizes, and each goal has one group,
+    its class (the goal's formula mask), with mass L // (M * class size).
+    """
+    sizes = [ks.M * len(members) for members in ks.classes.values()]
+    denominator = math.lcm(*sizes)
+    groups = tuple(
+        (g, ks._formula_masks[goal], denominator // size)
+        for g, (goal, size) in enumerate(zip(ks.goals, sizes))
+    )
     # the proofs of one class share one value
-    share = {g: Fraction(1, ks.M * len(members)) for g, members in ks.classes.items()}
-    return ProbabilityMeasure(ks, {p.id: share[p.goal] for p in ks.proofs})
+    share = {goal: Fraction(1, size) for goal, size in zip(ks.goals, sizes)}
+    measure = ProbabilityMeasure.__new__(ProbabilityMeasure)
+    measure._set(ks, MappingProxyType({p.id: share[p.goal] for p in ks.proofs}), denominator, groups)
+    return measure
 
 
 def _support_mask(ks: KnowledgeSystem, subset: Iterable[str]) -> int:
@@ -95,7 +109,8 @@ def _mass_groups(
 
     Returns L and one (goal position, mask, n) triple per distinct mass n/L
     among each goal's proofs, the mask holding the proofs of that goal and
-    mass; proof_measure gives one triple per goal. Raises
+    mass; the maximum-uncertainty measure has one triple per goal, which
+    proof_measure compiles without this walk. Raises
     NotADistributionError unless the masses are a distribution over ks.proofs.
     """
     try:
@@ -142,10 +157,19 @@ def _require_system(ks: KnowledgeSystem, measure: ProbabilityMeasure) -> None:
 
 def _goal_masses(measure: ProbabilityMeasure, mask: int) -> list[int]:
     """Mass of the support `mask` inside each goal class, times L, in goal order."""
-    masses = [0] * measure.system.M
-    for g, group, n in measure._groups:
-        masses[g] += (mask & group).bit_count() * n
-    return masses
+    # an append loop: on Python 3.11 a comprehension's own frame costs more
+    masses = []
+    for _, group, n in measure._groups:
+        masses.append((mask & group).bit_count() * n)
+    M = measure.system.M
+    # every goal holds a proof, so M groups are one per goal, in goal order
+    if len(masses) == M:
+        return masses
+    # a goal of a hand-built measure may hold several masses: add them up
+    merged = [0] * M
+    for (g, _, _), mass in zip(measure._groups, masses):
+        merged[g] += mass
+    return merged
 
 
 def _support(

@@ -136,6 +136,43 @@ def test_witness_table_is_charged_to_the_node_budget(monkeypatch):
         profile(big, proof_measure(big), "P1")
 
 
+def test_the_search_visits_the_same_subsets_on_the_fixture(ks, measure, monkeypatch):
+    # the fewest budgets at which each proof profiles, found by bisection;
+    # QB3, QD2 and QF1 are bound by the subsets their searches visit, the
+    # others by their n(n+1)/2 witness formulas, so the weighings (visited
+    # subsets that are not settled) pin the searches of those as well
+    def profiles(pid, budget):
+        monkeypatch.setattr(convergence, "MAX_SEARCH_NODES", budget)
+        try:
+            profile(ks, measure, pid)
+        except ProofTooLargeError:
+            return False
+        return True
+
+    fewest, budget = [], convergence.MAX_SEARCH_NODES
+    for p in ks.proofs:
+        lo, hi = 1, budget
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if profiles(p.id, mid) else (mid + 1, hi)
+        fewest.append(lo)
+    assert fewest == [6, 10, 24, 3, 11, 15, 24]
+
+    weighed = []
+    goal_masses = convergence._goal_masses
+
+    def counted(measure, mask):
+        weighed[-1] += 1
+        return goal_masses(measure, mask)
+
+    monkeypatch.setattr(convergence, "MAX_SEARCH_NODES", budget)
+    monkeypatch.setattr(convergence, "_goal_masses", counted)
+    for p in ks.proofs:
+        weighed.append(0)
+        profile(ks, measure, p.id)
+    assert weighed == [2, 4, 10, 1, 5, 5, 8]
+
+
 def test_fixture_certainty_thresholds(ks):
     assert certainty_threshold(ks, "QB1") == 2
     assert certainty_threshold(ks, "QB2") == 3

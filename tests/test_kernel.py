@@ -567,6 +567,21 @@ def test_a_broadcast_about_an_undeclared_participant_raises(world, run):
         run(world)
 
 
+@pytest.mark.parametrize(
+    "fact, message",
+    [
+        (day_is("Sun"), r"^unknown day 'Sun' in day facts$"),
+        (brd("R9", "Bok"), r"^unknown source 'R9'$"),
+        (brd("R1", "Zed"), r"^unknown participant 'Zed' in 'Brd\(R1,Zed\)'$"),
+    ],
+    ids=["day", "source", "participant"],
+)
+def test_a_data_fact_with_an_undeclared_name_raises_though_no_rule_reads_it(world, fact, message):
+    # the listing is the fact alone, so its validity cannot wait for a later step
+    with pytest.raises(UnknownNameError, match=message):
+        check_proof(world, [fact], {fact})
+
+
 def test_listings_sharing_verdicts_raise_for_an_unknown_source_each_time(world):
     # listings checked against one world share a table of source verdicts; a
     # source the world does not declare raises at each listing that reads it

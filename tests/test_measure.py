@@ -1,7 +1,6 @@
 import math
 import pickle
 import random
-import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,7 +19,6 @@ from proofinfo import (
     support_ids,
     weight,
 )
-from proofinfo import measure as measure_module
 from proofinfo.cli import main
 from proofinfo.errors import EmptyFormulaError, NotADistributionError
 from proofinfo.model import _parse_probability
@@ -215,17 +213,16 @@ def test_library_subsets_are_normalized_as_the_system_reads_them(ks, measure):
     "argv", [("profile", FIXTURE, "--all"), ("demo",)], ids=["profile", "demo"]
 )
 def test_a_command_compiles_its_measure_once(capsys, monkeypatch, argv):
-    # count the compilations wherever the package binds the compiler
+    # proof_measure and the checking constructor each store the compiled
+    # masses with the one setter, so counting its calls counts compilations
     calls = []
-    compile_masses = measure_module._mass_groups
+    store = ProbabilityMeasure._set
 
     def counted(*args):
         calls.append(args)
-        return compile_masses(*args)
+        return store(*args)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("proofinfo") and hasattr(module, "_mass_groups"):
-            monkeypatch.setattr(module, "_mass_groups", counted)
+    monkeypatch.setattr(ProbabilityMeasure, "_set", counted)
     assert main(list(argv)) == 0
     capsys.readouterr()
     assert len(calls) == 1

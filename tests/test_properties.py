@@ -3,10 +3,11 @@
 The package's support and profile are compared with the slow references in
 tests/oracles.py, profiles with themselves under three relations of the
 measure (reordering the system, renaming its formulas in order, adding
-disjoint goal classes), the JSON report writer with the standard library's
-indented encoder, and a kernel formula with the text it prints. Runs are
-derandomized and keep no example database, so the suite is repeatable and
-leaves nothing behind.
+disjoint goal classes), the default measure with the one the checking
+constructor compiles from its masses, the JSON report writer with the
+standard library's indented encoder, and a kernel formula with the text it
+prints. Runs are derandomized and keep no example database, so the suite is
+repeatable and leaves nothing behind.
 """
 
 import enum
@@ -15,6 +16,7 @@ import math
 from fractions import Fraction
 from types import MappingProxyType
 
+import pytest
 from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
@@ -56,6 +58,24 @@ def test_support_equals_class_scan(ks, data):
     assert list(sup.per_goal_mass.items()) == list(ref.per_goal_mass.items())
     assert sup.total_mass == ref.total_mass
     assert sup.total_mass == sum((measure.per_proof[pid] for pid in sup.proofs), Fraction(0))
+
+
+@BOUNDED
+@given(systems())
+def test_the_default_measure_compiles_as_a_checked_one(ks):
+    # proof_measure compiles from the goal classes; the constructor checks
+    # and compiles the same masses from the proofs
+    compiled = proof_measure(ks)
+    checked = ProbabilityMeasure(ks, compiled.per_proof)
+    assert compiled._denominator == checked._denominator
+    assert compiled._groups == checked._groups
+    assert compiled.per_proof == checked.per_proof
+    assert type(compiled.per_proof) is type(checked.per_proof) is MappingProxyType
+    assert compiled == checked
+    # a measure's key holds a read-only mapping, so neither one hashes
+    for measure in (compiled, checked):
+        with pytest.raises(TypeError, match="unhashable type: 'mappingproxy'"):
+            hash(measure)
 
 
 @BOUNDED
