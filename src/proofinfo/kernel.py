@@ -390,6 +390,13 @@ def _possible_days(world: WorldSpec, day_facts: Iterable[KFormula]) -> frozenset
     return frozenset(possible)
 
 
+def _verdict(truthful_days: frozenset[str], possible: frozenset[str]) -> str:
+    """A source's verdict when the day is one of the non-empty `possible`."""
+    if possible <= truthful_days:
+        return TRUTHFUL
+    return DECEITFUL if possible.isdisjoint(truthful_days) else UNKNOWN
+
+
 def resolve_reliability(
     world: WorldSpec, source: str, day_context: Iterable[KFormula]
 ) -> str:
@@ -406,8 +413,7 @@ def resolve_reliability(
     except AttributeError:
         _refuse_non_formulas(day_context, "day_context")
         raise
-    verdicts = {TRUTHFUL if d in truthful_days else DECEITFUL for d in possible}
-    return verdicts.pop() if len(verdicts) == 1 else UNKNOWN
+    return _verdict(truthful_days, possible)
 
 
 # ---------------------------------------------------------------------------
@@ -417,24 +423,16 @@ def resolve_reliability(
 class _Facts:
     """The formulas listed or derived so far, with the lookups the rules use:
     the first index of each derivable formula, the indices of the day facts
-    and their set, and each source's verdict under that set: TRUTHFUL,
-    DECEITFUL, or why the day facts resolve it to neither. A verdict depends
-    only on the set, so `tables` maps each set to its {source: verdict} dict,
-    and listings checked against one world may share it."""
+    and their set, and the days that set leaves possible, or why it leaves
+    none."""
 
-    def __init__(
-        self,
-        world: WorldSpec,
-        formulas: Iterable[KFormula] = (),
-        tables: dict[frozenset[KFormula], dict[str, str]] | None = None,
-    ) -> None:
+    def __init__(self, world: WorldSpec, formulas: Iterable[KFormula] = ()) -> None:
         self.world = world
         self.formulas: list[KFormula] = []
         self.first: dict[KFormula, int] = {}
         self.days: tuple[int, ...] = ()
         self._context: frozenset[KFormula] = frozenset()
-        self._tables = {} if tables is None else tables
-        self._verdicts = self._tables.setdefault(self._context, {})
+        self._possible: frozenset[str] | str = frozenset(world.day_domain)
         for f in formulas:
             self.append(f)
 
@@ -443,11 +441,14 @@ class _Facts:
         not declare raises UnknownNameError, whether or not a rule reads it."""
         kind = formula.kind
         if kind in _DAY_KINDS:
-            if formula.day not in self.world.day_domain:
-                raise UnknownNameError(f"unknown day {formula.day!r} in day facts")
+            if formula not in self._context:
+                context = self._context | {formula}
+                try:  # raises UnknownNameError for the new fact's day, before any change
+                    self._possible = _possible_days(self.world, context)
+                except InconsistentDayContextError as exc:
+                    self._possible = str(exc)
+                self._context = context
             self.days += (len(self.formulas),)
-            self._context |= {formula}
-            self._verdicts = self._tables.setdefault(self._context, {})
         elif kind == "brd":  # user data is never looked up, only checked
             self.world.truthful_on(formula.source)  # raises for an undeclared source
             if formula.participant not in self.world.participants:
@@ -457,13 +458,12 @@ class _Facts:
         self.formulas.append(formula)
 
     def verdict(self, source: str) -> str:
-        if source not in self._verdicts:
-            try:
-                verdict = resolve_reliability(self.world, source, self._context)
-            except InconsistentDayContextError as exc:
-                verdict = str(exc)
-            self._verdicts[source] = f"{source} reliability unknown" if verdict == UNKNOWN else verdict
-        return self._verdicts[source]
+        """TRUTHFUL, DECEITFUL, or why the day facts resolve the source to neither."""
+        truthful_days = self.world.truthful_on(source)
+        if isinstance(self._possible, str):
+            return self._possible
+        verdict = _verdict(truthful_days, self._possible)
+        return f"{source} reliability unknown" if verdict == UNKNOWN else verdict
 
 
 # (rule name, premise indices, conclusion)
@@ -628,8 +628,6 @@ def check_proof(
     goal_forms: Collection[KFormula],
     proof_id: str = "proof",
     strict: bool = False,
-    *,
-    _verdicts: dict[frozenset[KFormula], dict[str, str]] | None = None,
 ) -> CheckedProof:
     """Check an ordered proof listing against the rules.
 
@@ -637,13 +635,11 @@ def check_proof(
     the last formula must be one of goal_forms. Unused (extraneous) formulas
     are fine. Invalidity is a result, not an exception.
     """
-    # _verdicts holds the verdict tables that check_knowledge_system shares
-    # among the listings it checks
     formulas = list(_collection(formulas, "formulas"))
     goal_forms = _collection(goal_forms, "goal_forms")
     if not formulas:
         raise ValueError("empty proof listing")
-    facts = _Facts(world, tables=_verdicts)
+    facts = _Facts(world)
     steps: list[RuleApplication] = []
     violations: list[tuple[int, str]] = []
     try:
@@ -673,9 +669,8 @@ def check_knowledge_system(
     """Parse every proof of a knowledge system as kernel formulas and check it.
 
     Each distinct text is parsed once, in the order of first use, so the
-    first bad formula still raises; steps share the frozen `KFormula`, and
-    listings share the tables of source verdicts. Two goals that parse to one
-    formula raise MalformedDocumentError.
+    first bad formula still raises, and steps share the frozen `KFormula`.
+    Two goals that parse to one formula raise MalformedDocumentError.
     """
     # world goes by position, the one signature a wrapped parse_kformula must keep
     parsed = _Memo(lambda text: parse_kformula(text, world))
@@ -683,10 +678,8 @@ def check_knowledge_system(
     for g in ks.goals:
         if goal_forms.setdefault(parsed[g], g) != g:
             raise MalformedDocumentError(f"goals {goal_forms[parsed[g]]!r} and {g!r} are one kernel formula")
-    verdicts: dict[frozenset[KFormula], dict[str, str]] = {}
     return tuple(
-        check_proof(world, list(map(parsed.__getitem__, p.listing)), goal_forms, p.id, strict,
-                    _verdicts=verdicts)
+        check_proof(world, list(map(parsed.__getitem__, p.listing)), goal_forms, p.id, strict)
         for p in ks.proofs
     )
 

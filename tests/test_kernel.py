@@ -582,38 +582,6 @@ def test_a_data_fact_with_an_undeclared_name_raises_though_no_rule_reads_it(worl
         check_proof(world, [fact], {fact})
 
 
-def test_listings_sharing_verdicts_raise_for_an_unknown_source_each_time(world):
-    # listings checked against one world share a table of source verdicts; a
-    # source the world does not declare raises at each listing that reads it
-    verdicts = {}
-    listings = [[day_is("Fri"), brd("R2", "Bok"), win("Bok")], [day_is("Fri"), brd("R9", "Bok"), win("Bok")]]
-    for _ in range(2):
-        checked = check_proof(world, listings[0], {win("Bok")}, _verdicts=verdicts)
-        assert checked == check_proof(world, listings[0], {win("Bok")})
-        with pytest.raises(UnknownNameError, match="unknown source 'R9'"):
-            check_proof(world, listings[1], {win("Bok")}, _verdicts=verdicts)
-
-
-def test_listings_with_one_set_of_day_facts_resolve_each_source_once(world, monkeypatch):
-    # a verdict depends on the day facts as a set, so their order in the
-    # listing does not split the table
-    calls = Counter()
-    real = kernel.resolve_reliability
-
-    def counting(w, source, day_context):
-        calls[source] += 1
-        return real(w, source, day_context)
-
-    monkeypatch.setattr(kernel, "resolve_reliability", counting)
-    days = [day_not("Fri"), day_is("Other")]
-    verdicts = {}
-    for order in (days, days[::-1]):
-        checked = check_proof(world, [*order, brd("R2", "Dok"), not_win("Dok")], {not_win("Dok")},
-                              _verdicts=verdicts)
-        assert checked.valid
-        assert checked.steps[-1].rule == "DeceitfulBroadcast"
-    assert calls == Counter({"R2": 1})
-
 # ---- enumeration ---------------------------------------------------------------
 
 def test_enumerate_single_chain_matches_qb1(world):
@@ -799,7 +767,7 @@ def test_enumerate_lists_only_entailed_winners(seed):
 
 def _day_fact_sets(rng, world):
     """The day facts of one data set each: none, one of each kind, two
-    conflicting pairs, and one of them permuted, which shares its verdicts."""
+    conflicting pairs, and one of them permuted, whose set is the same."""
     day, other = rng.sample(world.day_domain, 2)
     return [[], [day_is(day)], [day_not(day)], [day_is(day), day_not(day)], [day_is(day), day_is(other)],
             [day_not(day), day_is(day)]]
@@ -808,7 +776,7 @@ def _day_fact_sets(rng, world):
 @pytest.mark.parametrize("seed", range(4))
 def test_listings_checked_together_equal_each_listing_checked_alone(seed):
     # one system holds the listings of data sets that differ in their day
-    # facts, so its checks share source verdicts across day contexts
+    # facts, so its checks read source verdicts under many day contexts
     rng = random.Random(200 + seed)
     world = _random_world(rng, max_participants=5)
     while len(world.day_domain) < 2 or not any(map(world.is_day_dependent, world.truthful_days)):
@@ -841,3 +809,42 @@ def test_listings_checked_together_equal_each_listing_checked_alone(seed):
     assert any(c.valid for c in alone)
     assert any("reliability unknown" in r for r in reasons)
     assert any("day" in r for r in reasons)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_broadcast_step_follows_the_verdict_resolve_reliability_gives(seed):
+    # the checker and resolve_reliability decide a verdict by one rule; the
+    # days of the world's models pin that rule independently
+    rng = random.Random(300 + seed)
+    rules = {TRUTHFUL: "TruthfulBroadcast", DECEITFUL: "DeceitfulBroadcast"}
+    seen = set()
+    for _ in range(30):
+        world = _random_world(rng, max_participants=4)
+        if len(world.day_domain) < 2:
+            continue
+        a = world.participants[0]
+        repeated = rng.choice((day_is, day_not))(rng.choice(world.day_domain))
+        for days in [*_day_fact_sets(rng, world), [repeated, repeated]]:
+            for s in world.truthful_days:
+                try:
+                    verdict = resolve_reliability(world, s, days)
+                except InconsistentDayContextError as exc:
+                    verdict = str(exc)
+                by_day = {TRUTHFUL if d in world.truthful_days[s] else DECEITFUL for d, _ in models(world, days)}
+                if by_day:
+                    assert verdict == (by_day.pop() if len(by_day) == 1 else UNKNOWN), (days, s)
+                else:
+                    assert verdict not in (TRUTHFUL, DECEITFUL, UNKNOWN), (days, s)
+                seen.add(verdict if verdict in (TRUTHFUL, DECEITFUL, UNKNOWN) else "inconsistent")
+                derives = {TRUTHFUL: win(a), DECEITFUL: not_win(a)}.get(verdict)
+                for goal in (win(a), not_win(a)):
+                    listing = [*days, brd(s, a), goal]
+                    checked = check_proof(world, listing, {goal})
+                    if goal == derives:
+                        expected = rules[verdict], ()
+                    else:
+                        reason = (f"no rule derives {goal.text()!r}" if derives else
+                                  f"{s} reliability unknown" if verdict == UNKNOWN else verdict)
+                        expected = "Unjustified", ((len(listing) - 1, reason),)
+                    assert (checked.steps[-1].rule, checked.violations) == expected, (listing, verdict)
+    assert seen == {TRUTHFUL, DECEITFUL, UNKNOWN, "inconsistent"}
